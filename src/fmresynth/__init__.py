@@ -12,10 +12,9 @@ from .evaluation import (compute_metrics, evaluate_checkpoint,
                          log_spectral_distance, f0_rmse_cents, resynthesize)
 from .features import (ConditioningSeq, FeatureTrack, a_weighted_loudness,
                        estimate_f0, extract_features, normalize)
-from .fmsynth import (ConfigError, EnvelopeFrames, FmConfig, Oscillator,
-                      RenderSpec, bessel_j, load_config, parse_config,
-                      render, save_config, serialize_config,
-                      sideband_spectrum)
+from .fmsynth import (ConfigError, FmConfig, Oscillator, RenderSpec,
+                      bessel_j, load_config, parse_config, render,
+                      save_config, serialize_config, sideband_spectrum)
 from .reverb import ReverbParams, apply_reverb, init_reverb
 from .spectral import MssSpec, mss_loss
 from .tcn import TcnSpec, decode, init_weights, parameter_count, receptive_field
@@ -32,7 +31,7 @@ __all__ = [
     "f0_rmse_cents", "resynthesize",
     "ConditioningSeq", "FeatureTrack", "a_weighted_loudness", "estimate_f0",
     "extract_features", "normalize",
-    "ConfigError", "EnvelopeFrames", "FmConfig", "Oscillator", "RenderSpec",
+    "ConfigError", "FmConfig", "Oscillator", "RenderSpec",
     "bessel_j", "load_config", "parse_config", "render", "save_config",
     "serialize_config", "sideband_spectrum",
     "ReverbParams", "apply_reverb", "init_reverb",

@@ -363,11 +363,11 @@ def matmul(a, b):
     return _make(av @ bv, "matmul", (a, b), bwd)
 
 
-def conv1d_dilated(x, w, dilation=1, causal_pad=True):
-    """Dilated 1-D convolution, channels-first.
+def conv1d_dilated(x, w, dilation=1):
+    """Dilated causal 1-D convolution, channels-first.
 
-    x: [C_in, T], w: [C_out, C_in, K]. With causal padding the output
-    has length T and out[:, t] depends only on x[:, :t+1].
+    x: [C_in, T], w: [C_out, C_in, K]. The output has length T and
+    out[:, t] depends only on x[:, :t+1].
     """
     x, w = _as_tensor(x), _as_tensor(w)
     xv, wv = x.values, w.values
@@ -378,8 +378,6 @@ def conv1d_dilated(x, w, dilation=1, causal_pad=True):
     c_out, c_in, k = wv.shape
     t = xv.shape[1]
     pad = (k - 1) * dilation
-    if not causal_pad:
-        raise AutodiffError("conv1d_dilated: only causal padding is implemented")
     # work in [T, C] layout: row slices stay contiguous, so every matmul
     # below hits the BLAS fast path without copying
     xpad_t = np.zeros((t + pad, c_in))

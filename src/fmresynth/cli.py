@@ -2,7 +2,8 @@
 
 Subcommands: prepare, train, resynth, render, analyze, eval, lint.
 Every subcommand accepts --seed, --config and --out; all randomness flows
-from --seed. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+from --seed, which train takes from the RunConfig unless it is given.
+Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ def _add_common(parser):
                              "train/resynth/eval)")
     parser.add_argument("--out", type=str, default=".",
                         help="output directory (or file path for render)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (reserved; processing is sequential)")
 
 
 def build_parser():
@@ -66,7 +65,8 @@ def build_parser():
                    help="npz with an 'envelopes' [T, n_osc] array; defaults "
                         "to 1 for carriers and 0 for modulators")
     p.add_argument("--seconds", type=float, default=1.0)
-    p.add_argument("--imax", type=str, default=None, choices=("2", "2pi", "4pi"))
+    p.add_argument("--imax", type=str, default=None,
+                   choices=tuple(tr.I_MAX_CHOICES))
 
     p = sub.add_parser("analyze", help="print an FM sideband table")
     _add_common(p)
@@ -76,9 +76,11 @@ def build_parser():
 
     p = sub.add_parser("train", help="train decoder + reverb on a corpus")
     _add_common(p)
+    p.set_defaults(seed=None)  # keep the RunConfig's seed unless --seed is given
     p.add_argument("--corpus", type=str, help="override RunConfig corpus dir")
     p.add_argument("--patch", type=str, help="override RunConfig patch path")
-    p.add_argument("--imax", type=str, default=None, choices=("2", "2pi", "4pi"))
+    p.add_argument("--imax", type=str, default=None,
+                   choices=tuple(tr.I_MAX_CHOICES))
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
@@ -133,10 +135,6 @@ def _cmd_prepare(args):
     return 0
 
 
-def _resolve_imax(name):
-    return tr.I_MAX_CHOICES[name]
-
-
 def _cmd_render(args):
     config = fm.load_config(args.patch)
     frame_rate = ds.SAMPLE_RATE / ds.HOP
@@ -157,7 +155,7 @@ def _cmd_render(args):
     else:
         env = np.tile([1.0 if o.carrier else 0.0 for o in config.oscillators],
                       (t_frames, 1))
-    i_max = _resolve_imax(args.imax) if args.imax else None
+    i_max = tr.I_MAX_CHOICES[args.imax] if args.imax else None
     spec = fm.RenderSpec(sample_rate=ds.SAMPLE_RATE, hop=ds.HOP, f0_frames=f0)
     audio = fm.render(config, env, spec, i_max=i_max).values
     out = Path(args.out)
@@ -212,7 +210,7 @@ def _load_run(args):
     if args.patch:
         overrides["patch_path"] = args.patch
     if args.imax:
-        overrides["i_max"] = _resolve_imax(args.imax)
+        overrides["i_max"] = tr.I_MAX_CHOICES[args.imax]
     for field in ("steps", "batch"):
         if getattr(args, field) is not None:
             overrides[field] = getattr(args, field)
@@ -222,7 +220,8 @@ def _load_run(args):
         overrides["hidden_channels"] = args.hidden
     if args.blocks is not None:
         overrides["blocks"] = args.blocks
-    overrides["seed"] = args.seed
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if overrides:
         from dataclasses import replace
         run = replace(run, **overrides)
@@ -245,11 +244,7 @@ def _cmd_resynth(args):
     audio = ds.resample_to(audio, rate)
     # trim to a whole number of frames
     audio = audio[: (len(audio) // ds.HOP) * ds.HOP]
-    try:
-        pred = ev.resynthesize(run, args.checkpoint, audio)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pred = ev.resynthesize(run, args.checkpoint, audio)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / (Path(args.input).stem + "_resynth.wav")
@@ -261,7 +256,7 @@ def _cmd_resynth(args):
 def _cmd_eval(args):
     ckpt_dir = Path(args.checkpoints)
     if args.grid == "imax":
-        cell_names = [f"imax_{name}" for name in ev.I_MAX_GRID]
+        cell_names = [f"imax_{name}" for name in tr.I_MAX_CHOICES]
     else:
         cell_names = list(ev.ABLATION_VARIANTS[args.instrument])
     cells = []

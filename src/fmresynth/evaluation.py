@@ -15,12 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dataset as ds
 from . import features as ft
-from . import fmsynth as fm
-from . import reverb as rv
 from . import spectral as sp
-from . import tcn
 from . import training as tr
 
 LSD_WINDOW = 1024
@@ -33,7 +31,6 @@ ABLATION_VARIANTS = {
     "violin": ("strings1", "strings1_4x1", "strings1_2x2", "strings1_2"),
     "trumpet": ("brass3", "brass3_4y", "brass3_2"),
 }
-I_MAX_GRID = ("2", "2pi", "4pi")
 
 
 @dataclass
@@ -58,18 +55,13 @@ class EvalReport:
 
 def resynthesize(run, checkpoint_path, audio, track=None):
     """features -> decode (inference) -> render -> reverb; same length out."""
-    config = fm.load_config(run.patch_path)
-    spec, params, reverb_params = tr.build_model(run, config)
-    _step, blobs = tr.load_checkpoint(checkpoint_path, run)
-    tr._restore_state(blobs, params, reverb_params, tr.AdamState())
+    return _resynthesize(tr.Model.load(run, checkpoint_path), audio, track)
+
+
+def _resynthesize(model, audio, track=None):
     if track is None:
         track = ft.extract_features(audio)
-    cond = ft.normalize(track)
-    env = tcn.decode(spec, params, config, cond.frames, mode="inference")
-    render_spec = fm.RenderSpec(sample_rate=track.sample_rate, hop=track.hop,
-                                f0_frames=track.f0_hz)
-    dry = fm.render(config, env, render_spec, i_max=spec.i_max)
-    wet = rv.apply_reverb(dry, reverb_params)
+    _env, _dry, wet = model.forward(track)
     out = wet.values[: len(audio)]
     if len(out) < len(audio):
         out = np.pad(out, (0, len(audio) - len(out)))
@@ -79,8 +71,8 @@ def resynthesize(run, checkpoint_path, audio, track=None):
 def log_spectral_distance(target, prediction,
                           window=LSD_WINDOW, hop=LSD_HOP, eps=LSD_EPSILON):
     """Mean over frames of sqrt(mean over bins of squared dB log ratio)."""
-    s_t = sp.stft_magnitude(np.asarray(target, dtype=np.float64), window, hop).values
-    s_p = sp.stft_magnitude(np.asarray(prediction, dtype=np.float64), window, hop).values
+    s_t = ad.stft_magnitude(np.asarray(target, dtype=np.float64), window, hop).values
+    s_p = ad.stft_magnitude(np.asarray(prediction, dtype=np.float64), window, hop).values
     ratio = 20.0 * np.log10((s_t + eps) / (s_p + eps))
     return float(np.mean(np.sqrt(np.mean(ratio ** 2, axis=1))))
 
@@ -123,11 +115,11 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
     records = sorted(manifest.split_records(split), key=lambda r: r.clip_id)
     if not records:
         raise ValueError(f"split {split!r} is empty")
-    config = fm.load_config(run.patch_path)
+    model = tr.Model.load(run, checkpoint_path)
     per_clip = []
     for record in records:
         audio, track, _env = ds.load_clip(corpus_dir, record)
-        pred = resynthesize(run, checkpoint_path, audio, track)
+        pred = _resynthesize(model, audio, track)
         metrics = compute_metrics(audio, pred)
         metrics["clip_id"] = record.clip_id
         per_clip.append(metrics)
@@ -137,7 +129,7 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
             ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
             ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
     report = EvalReport(run_id=run_id or Path(str(checkpoint_path)).stem,
-                        config_name=config.name, i_max=run.i_max,
+                        config_name=model.config.name, i_max=run.i_max,
                         per_clip=per_clip)
     return report.aggregate()
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import autodiff as ad
+
 FEATURE_VERSION = 1
 
 F0_MIN = 40.0
@@ -175,8 +177,7 @@ def _loudness_reference(sample_rate, window):
 
 
 def _frame_weighted_power(frames, sample_rate, window):
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    spec = np.fft.rfft(frames * win, axis=1)
+    spec = np.fft.rfft(frames * ad.hann_window(window), axis=1)
     power = np.abs(spec) ** 2
     return power @ _a_weight_power(sample_rate, window)
 

@@ -62,6 +62,9 @@ class FmConfig:
             raise ConfigError("config has no carrier")
         # also raises on cycles
         object.__setattr__(self, "_topo", tuple(self._topological_order()))
+        object.__setattr__(self, "_modulators", tuple(
+            tuple(m for m, o in enumerate(self.oscillators) if k in o.modulates)
+            for k in range(n)))
 
     def _topological_order(self):
         """Modulators-first order; raises ConfigError on cycles."""
@@ -99,22 +102,14 @@ class FmConfig:
         """Oscillator indices, every modulator before anything it feeds."""
         return self._topo
 
+    @property
+    def modulators(self):
+        """Per oscillator, the indices of the oscillators feeding it, ascending."""
+        return self._modulators
+
     def a_max(self, i_max):
         """Per-channel envelope ceiling: 1 for carriers, i_max for modulators."""
         return np.array([1.0 if o.carrier else float(i_max) for o in self.oscillators])
-
-
-@dataclass(frozen=True)
-class EnvelopeFrames:
-    """Frame-rate output levels, shape [T, n_osc]."""
-    frames: np.ndarray
-    frame_rate: float = 250.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"envelope frames must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "frames", arr)
 
 
 @dataclass(frozen=True)
@@ -229,24 +224,20 @@ def render(config, env, spec, i_max=None):
     """Differentiable render of ``T * hop`` samples.
 
     env: Tensor of shape [n_osc, T] (channels first, as produced by the
-    decoder) or an EnvelopeFrames / [T, n_osc] array. Each oscillator k
-    runs at instantaneous frequency ratio_k * f0 with phase accumulated
-    by cumulative sum from 0; its output is env_k * sin(phase + sum of
+    decoder) or a [T, n_osc] array. Each oscillator k runs at
+    instantaneous frequency ratio_k * f0 with phase accumulated by
+    cumulative sum from 0; its output is env_k * sin(phase + sum of
     modulator inputs); carriers are averaged into the final output.
 
     When ``i_max`` is given, modulator envelopes are validated against
     it; carrier envelopes are always validated against [0, 1].
     """
     n_osc = config.n_oscillators
-    if isinstance(env, EnvelopeFrames):
-        env = Tensor(env.frames.T)
-    elif not isinstance(env, Tensor):
+    if not isinstance(env, Tensor):
         arr = np.asarray(env, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"envelopes must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] != n_osc and arr.shape[1] == n_osc:
-            arr = arr.T
-        env = Tensor(arr)
+        env = Tensor(arr.T)
     if env.values.shape[0] != n_osc:
         raise ValueError(
             f"envelope has {env.values.shape[0]} channels, config "
@@ -263,7 +254,7 @@ def render(config, env, spec, i_max=None):
 
     hop = spec.hop
     n_samples = t_frames * hop
-    f0_up = _upsample_np(f0, hop)
+    f0_up = ad.linear_upsample(ad.constant(f0), hop).values
 
     # constant phase track per oscillator: 2*pi*cumsum(r * f0 / sr)
     osc_out = [None] * n_osc
@@ -272,9 +263,8 @@ def render(config, env, spec, i_max=None):
         osc = config.oscillators[k]
         phase = 2.0 * np.pi * np.cumsum(osc.ratio * f0_up / spec.sample_rate)
         mod_in = None
-        for m, other in enumerate(config.oscillators):
-            if k in other.modulates:
-                mod_in = osc_out[m] if mod_in is None else ad.add(mod_in, osc_out[m])
+        for m in config.modulators[k]:
+            mod_in = osc_out[m] if mod_in is None else ad.add(mod_in, osc_out[m])
         arg = ad.constant(phase) if mod_in is None else ad.add(ad.constant(phase), mod_in)
         env_up = ad.linear_upsample(env_rows[k], hop)
         osc_out[k] = ad.mul(env_up, ad.sin(arg))
@@ -297,16 +287,6 @@ def _validate_env_bounds(config, values, i_max):
             raise ValueError(f"carrier envelope channel {k + 1} exceeds 1")
         if not osc.carrier and i_max is not None and np.any(chan > i_max + 1e-12):
             raise ValueError(f"modulator envelope channel {k + 1} exceeds I_max={i_max}")
-
-
-def _upsample_np(x, factor):
-    """Same interpolation as autodiff.linear_upsample, for constants."""
-    t = x.shape[-1]
-    pos = np.arange(t * factor) / factor
-    i0 = np.minimum(pos.astype(np.int64), t - 1)
-    i1 = np.minimum(i0 + 1, t - 1)
-    frac = pos - i0
-    return x[..., i0] * (1.0 - frac) + x[..., i1] * frac
 
 
 # ---------------------------------------------------------------------------

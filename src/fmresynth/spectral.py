@@ -34,13 +34,6 @@ class MssSpec:
         return int(window * (1.0 - self.overlap))
 
 
-def stft_magnitude(audio, window, hop):
-    """Hann-windowed, non-centered magnitude STFT; differentiable."""
-    if not isinstance(audio, Tensor):
-        audio = Tensor(np.asarray(audio, dtype=np.float64))
-    return ad.stft_magnitude(audio, window, hop)
-
-
 def target_spectrograms(target, spec=MssSpec()):
     """Precompute the target's magnitude spectrograms for repeated use.
 

@@ -151,54 +151,46 @@ def save_checkpoint(path, run, step, params, reverb_params, adam):
 
 
 def load_checkpoint(path, run=None):
-    """Returns (step, blobs dict). Verifies magic, version and, when a
-    RunConfig is given, its digest."""
-    data = Path(path).read_bytes()
+    """Returns (step, blobs dict). Verifies magic, version, length and, when
+    a RunConfig is given, its digest."""
+    data = memoryview(Path(path).read_bytes())
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", data, 4)
+    offset = 4
+
+    def take(n):
+        nonlocal offset
+        if offset + n > len(data):
+            raise ValueError(f"{path}: checkpoint truncated at byte {len(data)}, "
+                             f"expected at least {offset + n}")
+        offset += n
+        return data[offset - n: offset]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} unsupported")
-    digest = data[8:40]
+    digest = bytes(take(32))
     if run is not None and digest != run.digest():
         raise ValueError(f"{path}: checkpoint was written by a different RunConfig")
-    (step,) = struct.unpack_from("<Q", data, 40)
-    (n_blobs,) = struct.unpack_from("<I", data, 48)
-    offset = 52
+    (step,) = unpack("<Q")
+    (n_blobs,) = unpack("<I")
     blobs = {}
     for _ in range(n_blobs):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset: offset + name_len].decode()
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
+        (name_len,) = unpack("<H")
+        name = bytes(take(name_len)).decode()
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
         count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
+        arr = np.frombuffer(take(8 * count), dtype="<f8")
         blobs[name] = arr.reshape(shape).copy()
     return step, blobs
 
 
-def _restore_state(blobs, params, reverb_params, adam):
-    everything = {**params, **rv.reverb_param_dict(reverb_params)}
-    for name, p in everything.items():
-        arr = blobs[f"param/{name}"]
-        p.values = arr.reshape(p.values.shape)
-    for key, arr in blobs.items():
-        if key.startswith("adam_m/"):
-            name = key[len("adam_m/"):]
-            adam.m[name] = arr.reshape(everything[name].values.shape)
-        elif key.startswith("adam_v/"):
-            name = key[len("adam_v/"):]
-            adam.v[name] = arr.reshape(everything[name].values.shape)
-    adam.t = int(blobs["adam_t"][0])
-
-
 # ---------------------------------------------------------------------------
-# training loop
+# model and training loop
 
 def build_model(run, config):
     spec = tcn.TcnSpec(out_channels=config.n_oscillators, i_max=run.i_max,
@@ -209,26 +201,76 @@ def build_model(run, config):
     return spec, params, reverb_params
 
 
-def clip_loss(spec, params, reverb_params, config, audio, track,
-              mode="train", seed=0):
-    """Scalar MSS loss Tensor for one clip: cond -> decode -> render ->
-    reverb -> mss against the target audio (raw or precomputed
-    spectrograms from spectral.target_spectrograms)."""
-    cond = ft.normalize(track)
-    env = tcn.decode(spec, params, config, cond.frames, mode=mode, seed=seed)
-    render_spec = fm.RenderSpec(sample_rate=track.sample_rate, hop=track.hop,
-                                f0_frames=track.f0_hz)
-    dry = fm.render(config, env, render_spec, i_max=spec.i_max)
-    wet = rv.apply_reverb(dry, reverb_params)
-    return sp.mss_loss(audio, wet)
+@dataclass
+class Model:
+    """The DDX7 chain with its weights: conditioning -> decoder -> FM render
+    -> reverb. Training, validation and resynthesis all run ``forward``."""
+    config: fm.FmConfig
+    spec: tcn.TcnSpec
+    params: dict
+    reverb_params: rv.ReverbParams
+
+    @classmethod
+    def build(cls, run):
+        """Freshly initialised weights for the run's patch and seed."""
+        config = fm.load_config(run.patch_path)
+        return cls(config, *build_model(run, config))
+
+    @classmethod
+    def load(cls, run, checkpoint_path):
+        """The weights of a checkpoint written under ``run``."""
+        model = cls.build(run)
+        model.restore(run, checkpoint_path)
+        return model
+
+    def named_params(self):
+        """Decoder and reverb parameter tensors by checkpoint name."""
+        return {**self.params, **rv.reverb_param_dict(self.reverb_params)}
+
+    def restore(self, run, checkpoint_path, adam=None):
+        """Load weights, and the optimizer state into ``adam`` when given,
+        from a checkpoint written under ``run``; returns its step."""
+        step, blobs = load_checkpoint(checkpoint_path, run)
+
+        def blob(key, shape):
+            arr = blobs.get(key)
+            if arr is None or arr.size != int(np.prod(shape)):
+                raise ValueError(f"{checkpoint_path}: blob {key!r} is missing "
+                                 "or has the wrong size")
+            return arr.reshape(shape)
+
+        # copy into the freshly initialised arrays: keeping the blob arrays
+        # instead pins them above the freed ones, and a model held across
+        # an evaluation then costs ~10 MB of peak RSS on top of its size
+        named = self.named_params()
+        for name, p in named.items():
+            np.copyto(p.values, blob(f"param/{name}", p.values.shape))
+        if adam is not None:
+            adam.t = int(blob("adam_t", (1,))[0])
+            for name, p in named.items():
+                for key, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
+                    if f"{key}/{name}" in blobs:
+                        moments[name] = blob(f"{key}/{name}", p.values.shape)
+        return step
+
+    def forward(self, track, mode="inference", seed=0):
+        """(envelopes [n_osc, T], dry audio, wet audio) Tensors for a
+        FeatureTrack; mode "train" applies dropout seeded by ``seed``."""
+        cond = ft.normalize(track)
+        env = tcn.decode(self.spec, self.params, self.config, cond.frames,
+                         mode=mode, seed=seed)
+        render_spec = fm.RenderSpec(sample_rate=track.sample_rate, hop=track.hop,
+                                    f0_frames=track.f0_hz)
+        dry = fm.render(self.config, env, render_spec, i_max=self.spec.i_max)
+        wet = rv.apply_reverb(dry, self.reverb_params)
+        return env, dry, wet
 
 
-def _validation_loss(spec, params, reverb_params, config, clips):
+def _validation_loss(model, clips):
     total = 0.0
     for audio, track in clips:
-        loss = clip_loss(spec, params, reverb_params, config, audio, track,
-                         mode="inference")
-        total += loss.item()
+        _env, _dry, wet = model.forward(track)
+        total += sp.mss_loss(audio, wet).item()
     return total / len(clips)
 
 
@@ -241,15 +283,13 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ds.load_manifest(Path(run.corpus_dir) / "manifest.json")
-    config = fm.load_config(run.patch_path)
-    spec, params, reverb_params = build_model(run, config)
-    all_params = {**params, **rv.reverb_param_dict(reverb_params)}
+    model = Model.build(run)
+    all_params = model.named_params()
     adam = AdamState()
 
     start_step = 0
     if resume_from is not None:
-        start_step, blobs = load_checkpoint(resume_from, run)
-        _restore_state(blobs, params, reverb_params, adam)
+        start_step = model.restore(run, resume_from, adam)
 
     train_records = manifest.split_records("train")
     if not train_records:
@@ -278,9 +318,9 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
             total = None
             for j, record in enumerate(batch):
                 audio, track = cache[record.clip_id]
-                loss = clip_loss(spec, params, reverb_params, config, audio,
-                                 track, mode="train",
-                                 seed=_dropout_seed(run.seed, step, j))
+                _env, _dry, wet = model.forward(
+                    track, mode="train", seed=_dropout_seed(run.seed, step, j))
+                loss = sp.mss_loss(audio, wet)
                 total = loss if total is None else ad.add(total, loss)
             total = ad.mul(total, ad.constant(1.0 / len(batch)))
             train_loss = total.item()
@@ -302,10 +342,10 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
             is_ckpt = (step + 1) % run.checkpoint_every == 0 or step + 1 == run.steps
             if is_ckpt:
                 if valid_clips:
-                    valid_loss = f"{_validation_loss(spec, params, reverb_params, config, valid_clips):.10g}"
+                    valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
                 last_ckpt = out_dir / f"checkpoint_{step + 1:08d}.ckpt"
-                save_checkpoint(last_ckpt, run, step + 1, params,
-                                reverb_params, adam)
+                save_checkpoint(last_ckpt, run, step + 1, model.params,
+                                model.reverb_params, adam)
             logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
     return last_ckpt
 

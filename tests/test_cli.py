@@ -183,6 +183,22 @@ class TestTrainAndDownstream:
         assert "strings1_2,ok" in table
         assert "strings1,absent" in table
 
+    def test_train_keeps_runconfig_seed_unless_given(self, workspace,
+                                                     tmp_path):
+        run = tr.RunConfig.from_json((workspace / "run.json").read_text())
+        from dataclasses import replace
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(replace(run, seed=5).to_json())
+        small = ("train", "--config", str(seeded), "--steps", "1",
+                 "--hidden", "8", "--blocks", "1")
+        for extra, seed in (((), 5), (("--seed", "7"), 7)):
+            out = tmp_path / f"seed{seed}"
+            assert run_cli(*small, *extra, "--out", str(out)) == 0
+            used = tr.RunConfig.from_json((out / "run.json").read_text())
+            assert used.seed == seed
+            tr.load_checkpoint(out / "checkpoint_00000001.ckpt", used)
+        assert cli.build_parser().parse_args(["lint", "--corpus", "c"]).seed == 0
+
     def test_lint_clean_corpus(self, workspace, capsys):
         assert run_cli("lint", "--corpus", str(workspace / "corpus"),
                        "--out", str(workspace)) == 0

@@ -82,6 +82,18 @@ class TestResynthesis:
         wavs = list((tmp_path / "wavs").glob("*_resynth.wav"))
         assert len(wavs) == len(report.per_clip)
 
+    def test_evaluate_checkpoint_loads_checkpoint_once(self, trained,
+                                                       monkeypatch):
+        run, ckpt, root = trained
+        calls = []
+        load = tr.load_checkpoint
+        monkeypatch.setattr(tr, "load_checkpoint",
+                            lambda *a, **k: calls.append(a) or load(*a, **k))
+        report = ev.evaluate_checkpoint(run, ckpt, root / "corpus",
+                                        split="train")
+        assert len(report.per_clip) == 2
+        assert len(calls) == 1
+
 
 class TestGrids:
     def test_missing_checkpoint_marks_absent_and_raises(self, trained,

@@ -141,6 +141,16 @@ class TestRender:
         with pytest.raises(ValueError, match="below 0"):
             fm.render(two_osc_config, env, spec)
 
+    def test_arrays_are_frames_first_even_when_t_equals_n_osc(self,
+                                                              two_osc_config):
+        # a [T, n_osc] array with T == n_osc must not be read as [n_osc, T]
+        env = np.array([[1.0, 0.5]] * 3)
+        short = fm.render(two_osc_config, env[:2],
+                          fm.RenderSpec(f0_frames=np.full(2, 440.0))).values
+        longer = fm.render(two_osc_config, env,
+                           fm.RenderSpec(f0_frames=np.full(3, 440.0))).values
+        np.testing.assert_allclose(short, longer[:128], rtol=0, atol=1e-12)
+
     def test_frame_count_mismatch_rejected(self, two_osc_config):
         env = np.zeros((10, 2))
         spec = fm.RenderSpec(f0_frames=np.full(12, 220.0))

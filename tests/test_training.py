@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fmresynth import autodiff as ad
+from fmresynth import cli
 from fmresynth import dataset as ds
 from fmresynth import fmsynth as fm
 from fmresynth import reverb as rv
@@ -79,6 +80,20 @@ class TestAdam:
             assert p.values[0] == pytest.approx(x, abs=1e-12)
 
 
+@pytest.fixture
+def small_checkpoint(tmp_path, two_osc_config):
+    """A checkpoint of a small decoder, its RunConfig JSON and a probe wav."""
+    run = tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
+                       patch_path=packaged_config("strings1_2"),
+                       hidden_channels=8, blocks=2)
+    _spec, params, reverb_params = tr.build_model(run, two_osc_config)
+    ckpt = tmp_path / "small.ckpt"
+    tr.save_checkpoint(ckpt, run, 7, params, reverb_params, tr.AdamState())
+    (tmp_path / "run.json").write_text(run.to_json())
+    ds.write_wav(tmp_path / "in.wav", 0.5 * np.sin(np.arange(16000) * 0.1))
+    return run, ckpt
+
+
 class TestCheckpoints:
     def _model(self, run):
         config = fm.load_config(run.patch_path)
@@ -91,14 +106,49 @@ class TestCheckpoints:
         adam.v = {k: np.zeros_like(p.values) for k, p in params.items()}
         p1 = tmp_path / "a.ckpt"
         tr.save_checkpoint(p1, tiny_run, 42, params, reverb_params, adam)
-        step, blobs = tr.load_checkpoint(p1, tiny_run)
-        assert step == 42
-        spec2, params2, reverb2 = self._model(tiny_run)
+        model = tr.Model.build(tiny_run)
         adam2 = tr.AdamState()
-        tr._restore_state(blobs, params2, reverb2, adam2)
+        assert model.restore(tiny_run, p1, adam2) == 42
         p2 = tmp_path / "b.ckpt"
-        tr.save_checkpoint(p2, tiny_run, 42, params2, reverb2, adam2)
+        tr.save_checkpoint(p2, tiny_run, 42, model.params,
+                           model.reverb_params, adam2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_restores_every_parameter(self, small_checkpoint):
+        run, ckpt = small_checkpoint
+        _step, blobs = tr.load_checkpoint(ckpt, run)
+        named = tr.Model.load(run, ckpt).named_params()
+        assert set(blobs) == {f"param/{n}" for n in named} | {"adam_t"}
+        for name, p in named.items():
+            assert np.array_equal(p.values.ravel(), blobs[f"param/{name}"].ravel())
+
+    # every header field end (magic 4, version 8, digest 40, step 48, blob
+    # count 52) and points inside them, then inside the first blob and
+    # just short of the end of the file
+    @pytest.mark.parametrize("cut", [0, 3, 4, 6, 8, 20, 40, 45, 48, 50, 52,
+                                     53, 60, 70, 200, -8, -1])
+    def test_truncated_checkpoint_is_a_value_error(self, tmp_path,
+                                                   small_checkpoint, cut):
+        run, ckpt = small_checkpoint
+        cut_path = tmp_path / "cut.ckpt"
+        cut_path.write_bytes(ckpt.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="cut.ckpt"):
+            tr.load_checkpoint(cut_path, run)
+        assert cli.main(["resynth", "--checkpoint", str(cut_path),
+                         "--run", str(tmp_path / "run.json"),
+                         "--input", str(tmp_path / "in.wav"),
+                         "--out", str(tmp_path / "out")]) == 2
+
+    def test_missing_parameter_blob_is_a_value_error(self, tmp_path,
+                                                     small_checkpoint):
+        run, _ckpt = small_checkpoint
+        _spec, params, reverb_params = self._model(run)
+        del params["out.b"]
+        partial = tmp_path / "partial.ckpt"
+        tr.save_checkpoint(partial, run, 7, params, reverb_params,
+                           tr.AdamState())
+        with pytest.raises(ValueError, match="partial.ckpt.*out.b"):
+            tr.Model.load(run, partial)
 
     def test_magic_checked(self, tmp_path, tiny_run):
         bad = tmp_path / "x.ckpt"
