@@ -16,7 +16,7 @@ from .fmsynth import (ConfigError, FmConfig, Oscillator, RenderSpec,
                       bessel_j, load_config, parse_config, render,
                       save_config, serialize_config, sideband_spectrum)
 from .reverb import ReverbParams, apply_reverb, init_reverb
-from .spectral import MssSpec, mss_loss
+from .spectral import mss_loss
 from .tcn import TcnSpec, decode, init_weights, parameter_count, receptive_field
 from .training import (AdamState, RunConfig, adam_step, clip_gradients,
                        load_checkpoint, lr_at, match_envelopes,
@@ -35,7 +35,7 @@ __all__ = [
     "bessel_j", "load_config", "parse_config", "render", "save_config",
     "serialize_config", "sideband_spectrum",
     "ReverbParams", "apply_reverb", "init_reverb",
-    "MssSpec", "mss_loss",
+    "mss_loss",
     "TcnSpec", "decode", "init_weights", "parameter_count", "receptive_field",
     "AdamState", "RunConfig", "adam_step", "clip_gradients",
     "load_checkpoint", "lr_at", "match_envelopes", "save_checkpoint", "train",

@@ -17,11 +17,10 @@ __all__ = [
     "AutodiffError",
     "OP_KINDS",
     "add", "sub", "mul", "div", "neg", "sin", "exp", "log", "abs_",
-    "sigmoid", "relu", "cumulative_sum", "matmul", "conv1d_dilated",
-    "linear_upsample", "stft_magnitude", "reduce_sum", "reduce_mean",
-    "l2_norm", "dropout", "slice_", "concat", "scale_shift",
-    "fft_convolve", "constant", "parameter", "backward", "gradient_check",
-    "check_gradients", "hann_window",
+    "sigmoid", "relu", "conv1d_dilated", "linear_upsample", "stft_magnitude",
+    "reduce_sum", "dropout", "slice_", "concat", "fft_convolve", "constant",
+    "parameter", "backward", "gradient_check", "check_gradients",
+    "hann_window",
 ]
 
 
@@ -196,20 +195,6 @@ def div(a, b):
     return _make(av / bv, "div", (a, b), bwd)
 
 
-def scale_shift(x, scale, shift):
-    """Elementwise affine map ``scale * x + shift`` (broadcasting)."""
-    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    _check_broadcast("scale_shift", x, scale)
-    xv, sv, bv = x.values, scale.values, shift.values
-
-    def bwd(g):
-        return (_unbroadcast(g * sv, xv.shape),
-                _unbroadcast(g * xv, sv.shape),
-                _unbroadcast(g, bv.shape))
-
-    return _make(sv * xv + bv, "scale_shift", (x, scale, shift), bwd)
-
-
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
@@ -257,16 +242,6 @@ def relu(x):
                  lambda g: (g * mask,))
 
 
-def cumulative_sum(x, axis=-1):
-    x = _as_tensor(x)
-
-    def bwd(g):
-        rev = np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
-        return (rev,)
-
-    return _make(np.cumsum(x.values, axis=axis), "cumulative_sum", (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -281,37 +256,6 @@ def reduce_sum(x, axis=None, keepdims=False):
         return (np.broadcast_to(gg, xv.shape).copy(),)
 
     return _make(xv.sum(axis=axis, keepdims=keepdims), "reduce_sum", (x,), bwd)
-
-
-def reduce_mean(x, axis=None, keepdims=False):
-    x = _as_tensor(x)
-    xv = x.values
-    if axis is None:
-        n = xv.size
-    else:
-        n = np.prod([xv.shape[a] for a in np.atleast_1d(axis)])
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, xv.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, xv.shape).copy(),)
-
-    return _make(xv.mean(axis=axis, keepdims=keepdims), "reduce_mean", (x,), bwd)
-
-
-def l2_norm(x):
-    """Scalar Euclidean norm over all elements (subgradient 0 at 0)."""
-    x = _as_tensor(x)
-    xv = x.values
-    nrm = float(np.sqrt(np.sum(xv * xv)))
-
-    def bwd(g):
-        if nrm == 0.0:
-            return (np.zeros_like(xv),)
-        return (g * xv / nrm,)
-
-    return _make(nrm, "l2_norm", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +293,6 @@ def concat(tensors, axis=0):
 # ---------------------------------------------------------------------------
 # linear algebra / convolution
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
-        raise AutodiffError(
-            f"matmul: incompatible shapes {a.values.shape} @ {b.values.shape}"
-        )
-    av, bv = a.values, b.values
-
-    def bwd(g):
-        return g @ bv.T, av.T @ g
-
-    return _make(av @ bv, "matmul", (a, b), bwd)
-
-
 def conv1d_dilated(x, w, dilation=1):
     """Dilated causal 1-D convolution, channels-first.
 
@@ -378,7 +308,7 @@ def conv1d_dilated(x, w, dilation=1):
     c_out, c_in, k = wv.shape
     t = xv.shape[1]
     pad = (k - 1) * dilation
-    # work in [T, C] layout: row slices stay contiguous, so every matmul
+    # work in [T, C] layout: row slices stay contiguous, so every product
     # below hits the BLAS fast path without copying
     xpad_t = np.zeros((t + pad, c_in))
     xpad_t[pad:] = xv.T
@@ -436,8 +366,8 @@ def hann_window(n):
 def stft_magnitude(x, window, hop):
     """Magnitude STFT of a 1-D signal: Hann window, non-centered frames.
 
-    Returns [frames, window//2 + 1]. The gradient at zero-magnitude bins
-    is defined as 0.
+    Returns [frames, window//2 + 1]. hop must divide window. The gradient
+    at zero-magnitude bins is defined as 0.
     """
     x = _as_tensor(x)
     xv = x.values
@@ -449,6 +379,8 @@ def stft_magnitude(x, window, hop):
             f"stft_magnitude: input length {xv.shape[0]} < window {n}"
         )
     hop = int(hop)
+    if hop < 1 or n % hop != 0:
+        raise AutodiffError(f"stft_magnitude: hop {hop} does not divide window {n}")
     n_frames = (xv.shape[0] - n) // hop + 1
     win = hann_window(n)
     idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
@@ -467,16 +399,13 @@ def stft_magnitude(x, window, hop):
             scale[-1] = 1.0
         gframes = n * np.fft.irfft(d * scale, n=n, axis=1) * win
         gx = np.zeros_like(xv)
-        if n % hop == 0:
-            # frames taken every n//hop apart tile the signal without
-            # overlap, so overlap-add reduces to strided flat adds
-            stride = n // hop
-            for k in range(min(stride, n_frames)):
-                sub = gframes[k::stride]
-                start = k * hop
-                gx[start: start + sub.size] += sub.ravel()
-        else:
-            np.add.at(gx, idx, gframes)
+        # frames taken every n//hop apart tile the signal without overlap,
+        # so overlap-add reduces to strided flat adds
+        stride = n // hop
+        for k in range(min(stride, n_frames)):
+            sub = gframes[k::stride]
+            start = k * hop
+            gx[start: start + sub.size] += sub.ravel()
         return (gx,)
 
     return _make(mag, "stft_magnitude", (x,), bwd)
@@ -536,7 +465,6 @@ def dropout(x, p, rng):
 def backward(loss):
     """Back-propagate from a scalar loss, accumulating into leaf .grad.
 
-    Returns a dict mapping id(tensor) -> gradient for requires_grad leaves.
     A second call on the same loss without rebuilding the graph raises.
     """
     if not isinstance(loss, Tensor):
@@ -566,16 +494,13 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.values)}
-    leaf_grads = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._backward_fn is None:
-            node.grad = g if node.grad is None else node.grad + g
-            leaf_grads[id(node)] = node.grad
-            continue
         if node._backward_fn is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward_fn(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -585,11 +510,6 @@ def backward(loss):
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = np.asarray(pg, dtype=np.float64)
-        if node.requires_grad:
-            # non-leaf tensor explicitly marked: also record its gradient
-            node.grad = g if node.grad is None else node.grad + g
-            leaf_grads[id(node)] = node.grad
-    return leaf_grads
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +583,6 @@ def _op_check_cases(seed):
         "abs": ([_margin(v(6))], lambda t: reduce_sum(abs_(t[0]))),
         "sigmoid": ([v(6)], lambda t: reduce_sum(mul(sigmoid(t[0]), sigmoid(t[0])))),
         "relu": ([_margin(v(8))], lambda t: reduce_sum(mul(relu(t[0]), t[0]))),
-        "cumulative_sum": ([v(7)], lambda t: reduce_sum(sin(cumulative_sum(t[0])))),
-        "matmul": ([v(3, 4), v(4, 2)], lambda t: reduce_sum(sin(matmul(t[0], t[1])))),
         "conv1d_dilated": (
             [v(1, 8), v(2, 1, 3)],
             lambda t: reduce_sum(sin(conv1d_dilated(t[0], t[1], dilation=2))),
@@ -676,18 +594,12 @@ def _op_check_cases(seed):
                                      constant(stft_mask))),
         ),
         "reduce_sum": ([v(3, 4)], lambda t: reduce_sum(sin(reduce_sum(t[0], axis=1)))),
-        "reduce_mean": ([v(3, 4)], lambda t: reduce_sum(sin(reduce_mean(t[0], axis=0)))),
-        "l2_norm": ([v(6) + 0.1], lambda t: l2_norm(t[0])),
         "dropout": (
             [v(10)],
             lambda t: reduce_sum(_fixed_mask_dropout(t[0], drop_mask, 0.5)),
         ),
         "slice": ([v(4, 6)], lambda t: reduce_sum(sin(slice_(t[0], (slice(1, 3), slice(None, None, 2)))))),
         "concat": ([v(3), v(4)], lambda t: reduce_sum(sin(concat([t[0], t[1]])))),
-        "scale_shift": (
-            [v(3, 4), v(3, 1), v(3, 1)],
-            lambda t: reduce_sum(sin(scale_shift(t[0], t[1], t[2]))),
-        ),
         "fft_convolve": ([v(12), v(5)], lambda t: reduce_sum(sin(fft_convolve(t[0], t[1])))),
     }
     return cases

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import wave
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -189,10 +189,35 @@ def save_manifest(manifest, path):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_MANIFEST_KEYS = {"version", "instrument", "seed", "split_fractions",
+                  "silence_threshold_db", "confidence_threshold", "records"}
+
+
+def _check_keys(path, what, entry, required, optional=()):
+    """Raise a ValueError naming `path` unless `entry` is an object holding
+    every required key and no key outside required | optional."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = sorted(set(required) - entry.keys())
+    unknown = sorted(entry.keys() - set(required) - set(optional))
+    if missing or unknown:
+        raise ValueError(f"{path}: {what} has missing keys {missing} "
+                         f"and unknown keys {unknown}")
+
+
 def load_manifest(path):
     payload = json.loads(Path(path).read_text())
+    _check_keys(path, "manifest", payload, _MANIFEST_KEYS, ("config_name",))
     if payload["version"] != MANIFEST_VERSION:
-        raise ValueError(f"manifest version {payload['version']} != {MANIFEST_VERSION}")
+        raise ValueError(f"{path}: manifest version {payload['version']} "
+                         f"!= {MANIFEST_VERSION}")
+    if not isinstance(payload["records"], list):
+        raise ValueError(f"{path}: manifest records is not a list")
+    record_fields = fields(ClipRecord)
+    for i, r in enumerate(payload["records"]):
+        _check_keys(path, f"record {i}", r,
+                    [f.name for f in record_fields if f.default is MISSING],
+                    [f.name for f in record_fields])
     return CorpusManifest(
         instrument=payload["instrument"],
         seed=payload["seed"],

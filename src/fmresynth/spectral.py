@@ -3,6 +3,8 @@
 The loss sums, over a set of analysis windows, the L1 distance between
 linear and log magnitude spectrograms of target and prediction. Norms are
 element sums, not means, so reported values are comparable across runs.
+The windows, their 75 % overlap and the log epsilon are those of the DDSP
+multi-scale spectral loss and are fixed.
 """
 
 from __future__ import annotations
@@ -14,73 +16,56 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-DEFAULT_WINDOWS = (64, 128, 256, 512, 1024, 2048)
+WINDOWS = (64, 128, 256, 512, 1024, 2048)
+HOPS = {w: w // 4 for w in WINDOWS}  # 75 % overlap
+LOG_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
-class MssSpec:
-    windows: tuple = DEFAULT_WINDOWS
-    overlap: float = 0.75
-    log_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if tuple(sorted(self.windows)) != tuple(self.windows):
-            raise ValueError("windows must be sorted ascending")
-        for w in self.windows:
-            if self.hop(w) <= 0 or w % self.hop(w) != 0:
-                raise ValueError(f"hop must divide window for window {w}")
-
-    def hop(self, window):
-        return int(window * (1.0 - self.overlap))
+class TargetSpectrograms:
+    """A target's magnitude spectrograms per window: ``lin`` holds |S| and
+    ``log`` holds log(|S| + LOG_EPSILON), both as arrays keyed by window."""
+    n_samples: int
+    lin: dict
+    log: dict
 
 
-def target_spectrograms(target, spec=MssSpec()):
-    """Precompute the target's magnitude spectrograms for repeated use.
+def target_spectrograms(target):
+    """The target side of mss_loss, computed once.
 
     Training loops evaluate mss_loss against a fixed target many times;
     passing the result here as `target` skips recomputing its STFTs.
     """
-    target = np.asarray(target, dtype=np.float64)
-    return {
-        "n_samples": target.shape[0],
-        "spec": spec,
-        "mags": {w: ad.constant(ad.stft_magnitude(
-            ad.constant(target), w, spec.hop(w)).values)
-            for w in spec.windows},
-    }
+    target = ad.constant(np.asarray(target, dtype=np.float64))
+    lin = {w: ad.stft_magnitude(target, w, HOPS[w]).values for w in WINDOWS}
+    return TargetSpectrograms(
+        n_samples=target.values.shape[0], lin=lin,
+        log={w: np.log(mag + LOG_EPSILON) for w, mag in lin.items()})
 
 
-def mss_loss(target, prediction, spec=MssSpec()):
+def mss_loss(target, prediction):
     """Multi-scale spectral reconstruction loss (scalar Tensor).
 
     sum_i ( ||S_i - S^_i||_1 + ||log(S_i + eps) - log(S^_i + eps)||_1 )
 
-    target may be raw audio or the output of target_spectrograms.
+    target is raw audio or the output of target_spectrograms. It is a
+    fixed reference: gradients flow to the prediction only.
     """
-    cached = isinstance(target, dict)
-    if cached and target["spec"] != spec:
-        raise ValueError("cached target spectrograms use a different MssSpec")
-    if not cached and not isinstance(target, Tensor):
-        target = Tensor(np.asarray(target, dtype=np.float64))
+    if not isinstance(target, TargetSpectrograms):
+        target = target_spectrograms(target)
     if not isinstance(prediction, Tensor):
         prediction = Tensor(np.asarray(prediction, dtype=np.float64))
-    n_target = target["n_samples"] if cached else target.values.shape[0]
-    if (n_target,) != prediction.values.shape:
+    if (target.n_samples,) != prediction.values.shape:
         raise ValueError(
-            f"length mismatch: target ({n_target},) vs "
+            f"length mismatch: target ({target.n_samples},) vs "
             f"prediction {prediction.values.shape}"
         )
-    eps = spec.log_epsilon
     total = None
-    for window in spec.windows:
-        hop = spec.hop(window)
-        s_t = (target["mags"][window] if cached
-               else ad.stft_magnitude(target, window, hop))
-        s_p = ad.stft_magnitude(prediction, window, hop)
-        lin = ad.reduce_sum(ad.abs_(ad.sub(s_t, s_p)))
-        log_t = ad.log(ad.add(s_t, ad.constant(eps)))
-        log_p = ad.log(ad.add(s_p, ad.constant(eps)))
-        lg = ad.reduce_sum(ad.abs_(ad.sub(log_t, log_p)))
+    for window in WINDOWS:
+        s_p = ad.stft_magnitude(prediction, window, HOPS[window])
+        lin = ad.reduce_sum(ad.abs_(ad.sub(target.lin[window], s_p)))
+        log_p = ad.log(ad.add(s_p, ad.constant(LOG_EPSILON)))
+        lg = ad.reduce_sum(ad.abs_(ad.sub(target.log[window], log_p)))
         term = ad.add(lin, lg)
         total = term if total is None else ad.add(total, term)
     return total

@@ -18,36 +18,35 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+IN_CHANNELS = 2  # pitch, loudness
+KERNEL = 3
+DILATION_BASE = 2  # block b dilates by DILATION_BASE ** b
+
+
 @dataclass(frozen=True)
 class TcnSpec:
-    in_channels: int = 2
     out_channels: int = 6
     hidden_channels: int = 128
     blocks: int = 5
-    kernel: int = 3
-    dilation_growth: int = 2
     dropout_p: float = 0.5
     i_max: float = 2.0
 
-    def dilations(self):
-        """Per-conv dilation schedule (two convs per block, shared)."""
-        return [self.dilation_growth ** b for b in range(self.blocks) for _ in (0, 1)]
-
 
 def receptive_field(spec):
-    """Frames of past context seen by one output frame."""
-    return 1 + (spec.kernel - 1) * sum(spec.dilations())
+    """Frames of past context seen by one output frame (two convs per block)."""
+    dilations = sum(DILATION_BASE ** b for b in range(spec.blocks))
+    return 1 + (KERNEL - 1) * 2 * dilations
 
 
 def _conv_layers(spec):
     """(name, c_in, c_out, kernel, dilation) for every conv in the net."""
     layers = []
     for b in range(spec.blocks):
-        c_in = spec.in_channels if b == 0 else spec.hidden_channels
-        d = spec.dilation_growth ** b
-        layers.append((f"block{b}.conv1", c_in, spec.hidden_channels, spec.kernel, d))
+        c_in = IN_CHANNELS if b == 0 else spec.hidden_channels
+        d = DILATION_BASE ** b
+        layers.append((f"block{b}.conv1", c_in, spec.hidden_channels, KERNEL, d))
         layers.append((f"block{b}.conv2", spec.hidden_channels, spec.hidden_channels,
-                       spec.kernel, d))
+                       KERNEL, d))
         if c_in != spec.hidden_channels:
             layers.append((f"block{b}.skip", c_in, spec.hidden_channels, 1, 1))
     layers.append(("out", spec.hidden_channels, spec.out_channels, 1, 1))
@@ -106,8 +105,8 @@ def decode(spec, params, config, cond, mode="inference", seed=0):
     if not isinstance(cond, Tensor):
         cond = Tensor(np.asarray(cond, dtype=np.float64))
     cv = cond.values
-    if cv.ndim != 2 or cv.shape[1] != spec.in_channels:
-        raise ValueError(f"conditioning must be [T, {spec.in_channels}], got {cv.shape}")
+    if cv.ndim != 2 or cv.shape[1] != IN_CHANNELS:
+        raise ValueError(f"conditioning must be [T, {IN_CHANNELS}], got {cv.shape}")
     if cv.shape[0] < 1:
         raise ValueError("conditioning must have at least one frame")
     if np.any(cv < 0.0) or np.any(cv > 1.0):
@@ -117,7 +116,7 @@ def decode(spec, params, config, cond, mode="inference", seed=0):
     drop = spec.dropout_p if mode == "train" else 0.0
     x = ad.constant(cv.T)  # [C, T] channels-first
     for b in range(spec.blocks):
-        d = spec.dilation_growth ** b
+        d = DILATION_BASE ** b
         h = _conv(params, f"block{b}.conv1", x, d)
         h = ad.relu(h)
         if drop > 0.0:
@@ -136,4 +135,4 @@ def decode(spec, params, config, cond, mode="inference", seed=0):
     logits = _conv(params, "out", x, 1)
     gate = ad.sigmoid(logits)
     a_max = config.a_max(spec.i_max)[:, None]
-    return ad.scale_shift(gate, ad.constant(a_max), ad.constant(0.0))
+    return ad.mul(gate, ad.constant(a_max))

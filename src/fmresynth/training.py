@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ CHECKPOINT_MAGIC = b"FMRS"
 CHECKPOINT_VERSION = 1
 
 I_MAX_CHOICES = {"2": 2.0, "2pi": 2.0 * np.pi, "4pi": 4.0 * np.pi}
+
+# JSON value types accepted for each RunConfig field annotation
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,23 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        """Parse to_json output; raises ValueError on a missing or unknown
+        key or a value of the wrong type."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("RunConfig JSON is not an object")
+        known = {f.name: f for f in fields(cls)}
+        missing = sorted(n for n, f in known.items()
+                         if f.default is MISSING and n not in payload)
+        unknown = sorted(payload.keys() - known.keys())
+        if missing or unknown:
+            raise ValueError(f"RunConfig JSON has missing keys {missing} "
+                             f"and unknown keys {unknown}")
+        for name, value in payload.items():
+            kind = known[name].type  # annotations are strings here
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise ValueError(f"RunConfig.{name} must be {kind}, got {value!r}")
+        return cls(**payload)
 
 
 def lr_at(step, lr0=3e-4, decay=0.98, every=10000):
@@ -180,7 +199,10 @@ def load_checkpoint(path, run=None):
     blobs = {}
     for _ in range(n_blobs):
         (name_len,) = unpack("<H")
-        name = bytes(take(name_len)).decode()
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: blob name is not UTF-8") from None
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
         count = int(np.prod(shape)) if ndim else 1
@@ -355,8 +377,7 @@ def _dropout_seed(seed, step, clip_index):
 
 
 def match_envelopes(config, target_audio, f0_frames, i_max=2.0,
-                    steps=3000, lr=0.1, lr_half_every=300, seed=0,
-                    sample_rate=16000, hop=64, mss_spec=None):
+                    steps=3000, lr=0.1, lr_half_every=300, seed=0):
     """Directly fit envelope frames to a target by gradient descent on MSS.
 
     Optimizes unconstrained logits gated to (0, A_max) per channel with a
@@ -365,19 +386,18 @@ def match_envelopes(config, target_audio, f0_frames, i_max=2.0,
     to the step size, so the rate is halved every lr_half_every steps.
     Returns (envelopes [T, n_osc], loss history).
     """
-    mss_spec = mss_spec or sp.MssSpec()
     t_frames = len(f0_frames)
-    render_spec = fm.RenderSpec(sample_rate=sample_rate, hop=hop,
-                                f0_frames=np.asarray(f0_frames, dtype=np.float64))
+    render_spec = fm.RenderSpec(f0_frames=np.asarray(f0_frames, dtype=np.float64))
+    target = sp.target_spectrograms(target_audio)
     a_max = config.a_max(i_max)[:, None]
     rng = np.random.default_rng(seed)
     z = ad.parameter(rng.normal(0.0, 0.01, size=(config.n_oscillators, t_frames)))
     adam = AdamState()
     history = []
     for step in range(steps):
-        env = ad.scale_shift(ad.sigmoid(z), ad.constant(a_max), ad.constant(0.0))
+        env = ad.mul(ad.sigmoid(z), ad.constant(a_max))
         pred = fm.render(config, env, render_spec, i_max=i_max)
-        loss = sp.mss_loss(target_audio, pred, mss_spec)
+        loss = sp.mss_loss(target, pred)
         history.append(loss.item())
         z.zero_grad()
         ad.backward(loss)

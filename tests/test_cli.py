@@ -203,3 +203,39 @@ class TestTrainAndDownstream:
         assert run_cli("lint", "--corpus", str(workspace / "corpus"),
                        "--out", str(workspace)) == 0
         assert "0 problems" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where, key", [("record", "clip_id"),
+                                            ("record", "bogus"),
+                                            ("manifest", "seed")])
+    def test_lint_malformed_manifest_is_runtime_error(self, workspace, tmp_path,
+                                                      capsys, where, key):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        payload = json.loads((workspace / "corpus" / "manifest.json").read_text())
+        entry = payload["records"][0] if where == "record" else payload
+        if key in entry:
+            del entry[key]
+        else:
+            entry[key] = 1
+        (corpus / "manifest.json").write_text(json.dumps(payload))
+        assert run_cli("lint", "--corpus", str(corpus)) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"}])
+    def test_malformed_run_json_is_runtime_error(self, workspace, tmp_path,
+                                                 capsys, change):
+        payload = json.loads((workspace / "run.json").read_text())
+        payload.update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        (ckpts / "strings1_2.run.json").write_text(bad.read_text())
+        for argv in (("train", "--config", str(bad)),
+                     ("resynth", "--checkpoint", str(tmp_path / "x.ckpt"),
+                      "--run", str(bad), "--input", str(tmp_path / "x.wav")),
+                     ("eval", "--grid", "ablation", "--instrument", "violin",
+                      "--checkpoints", str(ckpts),
+                      "--corpus", str(workspace / "corpus"))):
+            assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+            assert "RunConfig" in capsys.readouterr().err

@@ -20,7 +20,7 @@ def test_receptive_field_default_is_125():
 
 
 def test_receptive_field_formula():
-    spec = TcnSpec(blocks=3, kernel=3, dilation_growth=2)
+    spec = TcnSpec(blocks=3)
     # 1 + 2 * (1+1+2+2+4+4)
     assert tcn.receptive_field(spec) == 29
 

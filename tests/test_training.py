@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from fmresynth import autodiff as ad
 from fmresynth import cli
 from fmresynth import dataset as ds
+from fmresynth import features as ft
 from fmresynth import fmsynth as fm
 from fmresynth import reverb as rv
+from fmresynth import spectral as sp
 from fmresynth import training as tr
 
 from conftest import packaged_config, piecewise_envelopes
@@ -124,14 +127,17 @@ class TestCheckpoints:
 
     # every header field end (magic 4, version 8, digest 40, step 48, blob
     # count 52) and points inside them, then inside the first blob and
-    # just short of the end of the file
+    # just short of the end of the file; "name-not-utf8" instead puts
+    # 0xff at byte 54, the first byte of the first blob name
     @pytest.mark.parametrize("cut", [0, 3, 4, 6, 8, 20, 40, 45, 48, 50, 52,
-                                     53, 60, 70, 200, -8, -1])
+                                     53, 60, 70, 200, -8, -1, "name-not-utf8"])
     def test_truncated_checkpoint_is_a_value_error(self, tmp_path,
                                                    small_checkpoint, cut):
         run, ckpt = small_checkpoint
+        data = ckpt.read_bytes()
         cut_path = tmp_path / "cut.ckpt"
-        cut_path.write_bytes(ckpt.read_bytes()[:cut])
+        cut_path.write_bytes(data[:54] + b"\xff" + data[55:]
+                             if cut == "name-not-utf8" else data[:cut])
         with pytest.raises(ValueError, match="cut.ckpt"):
             tr.load_checkpoint(cut_path, run)
         assert cli.main(["resynth", "--checkpoint", str(cut_path),
@@ -165,6 +171,18 @@ class TestCheckpoints:
         other = replace(tiny_run, seed=99)
         with pytest.raises(ValueError, match="different RunConfig"):
             tr.load_checkpoint(path, other)
+
+    @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"},
+                                        {"steps": 1.5}, {"seed": True},
+                                        {"corpus_dir": None}, "no patch_path"])
+    def test_malformed_runconfig_json_is_a_value_error(self, tiny_run, change):
+        payload = json.loads(tiny_run.to_json())
+        if change == "no patch_path":
+            del payload["patch_path"]
+        else:
+            payload.update(change)
+        with pytest.raises(ValueError, match="RunConfig"):
+            tr.RunConfig.from_json(json.dumps(payload))
 
     def test_runconfig_json_roundtrip(self, tiny_run):
         back = tr.RunConfig.from_json(tiny_run.to_json())
@@ -219,7 +237,44 @@ class TestTrainLoop:
             tr.train(run, tmp_path / "out")
 
 
+class TestOpSet:
+    def test_training_chain_uses_every_op_kind(self, tmp_path):
+        # one train-mode forward and its loss put exactly the closed op set
+        # on the tape: no op kind is dead code, none is missing a check
+        run = tr.RunConfig(corpus_dir=str(tmp_path),
+                           patch_path=packaged_config("strings1_2"),
+                           hidden_channels=4, blocks=2)
+        model = tr.Model.build(run)
+        audio = 0.5 * np.sin(np.arange(4096) * 0.1)
+        track = ft.extract_features(audio)
+        _env, _dry, wet = model.forward(track, mode="train", seed=0)
+        loss = sp.mss_loss(audio, wet)
+        kinds, stack, seen = set(), [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._op is not None:
+                kinds.add(node._op)
+            stack.extend(node._parents)
+        assert kinds == set(ad.OP_KINDS)
+
+
 class TestMatchEnvelopes:
+    def test_target_spectrograms_built_once(self, two_osc_config, monkeypatch):
+        calls = []
+        stft = ad.stft_magnitude
+        monkeypatch.setattr(ad, "stft_magnitude",
+                            lambda *a: calls.append(a) or stft(*a))
+        f0 = np.full(125, 300.0)
+        env = piecewise_envelopes(two_osc_config, 125, seed=1)
+        target = fm.render(two_osc_config, env, fm.RenderSpec(f0_frames=f0),
+                           i_max=2.0).values
+        steps = 3
+        tr.match_envelopes(two_osc_config, target, f0, steps=steps)
+        assert len(calls) == len(sp.WINDOWS) * (steps + 1)
+
     def test_loss_decreases_on_short_fit(self, two_osc_config):
         t_frames = 125
         env_true = piecewise_envelopes(two_osc_config, t_frames, seed=1)
