@@ -342,18 +342,29 @@ def linear_upsample(x, factor):
     factor = int(factor)
     xv = x.values
     t = xv.shape[-1]
-    pos = np.arange(t * factor) / factor
-    i0 = np.minimum(pos.astype(np.int64), t - 1)
-    i1 = np.minimum(i0 + 1, t - 1)
-    frac = pos - i0
-    out = xv[..., i0] * (1.0 - frac) + xv[..., i1] * frac
+    frac = np.arange(factor) / factor
+    # each frame blends into the next one; the last frame is its own next
+    nxt = np.concatenate([xv[..., 1:], xv[..., -1:]], axis=-1)
+    out = (xv[..., :, None] * (1.0 - frac)
+           + nxt[..., :, None] * frac).reshape(xv.shape[:-1] + (t * factor,))
 
     def bwd(g):
-        g2 = g.reshape(-1, t * factor)
-        gx = np.zeros((g2.shape[0], t))
-        np.add.at(gx, (slice(None), i0), g2 * (1.0 - frac))
-        np.add.at(gx, (slice(None), i1), g2 * frac)
-        return (gx.reshape(xv.shape),)
+        # row k holds sample k of every frame
+        gk = np.moveaxis(g.reshape(xv.shape + (factor,)), -1, 0).copy()
+        # add one sample at a time, in sample order: a frame's own samples,
+        # then the next-frame shares of the frame before, then (the held
+        # last frame only) its own. The envelope gradient oscillates at
+        # audio rate, so these sums cancel heavily and their rounding
+        # order shows in trained weights; a fixed order keeps it
+        # independent of how numpy or BLAS would block a sum.
+        gx = np.zeros(xv.shape)
+        for k in range(factor):
+            gx += gk[k] * (1.0 - frac[k])
+        for k in range(factor):
+            gx[..., 1:] += gk[k, ..., :-1] * frac[k]
+        for k in range(factor):
+            gx[..., -1] += gk[k, ..., -1] * frac[k]
+        return (gx,)
 
     return _make(out, "linear_upsample", (x,), bwd)
 
@@ -381,28 +392,23 @@ def stft_magnitude(x, window, hop):
     hop = int(hop)
     if hop < 1 or n % hop != 0:
         raise AutodiffError(f"stft_magnitude: hop {hop} does not divide window {n}")
-    n_frames = (xv.shape[0] - n) // hop + 1
     win = hann_window(n)
-    idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = xv[idx] * win
+    frames = np.lib.stride_tricks.sliding_window_view(xv, n)[::hop] * win
     spec = np.fft.rfft(frames, axis=1)
     mag = np.abs(spec)
 
     def bwd(g):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(mag > 0.0, g * spec / mag, 0.0 + 0.0j)
+        # d|S|/dS is S/|S|, taken as 0 where |S| = 0
+        inv_mag = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
         # adjoint of one-sided rfft of real frames; interior bins appear
         # twice in the Hermitian extension, so halve them first
-        scale = np.full(d.shape[1], 0.5)
-        scale[0] = 1.0
-        if n % 2 == 0:
-            scale[-1] = 1.0
-        gframes = n * np.fft.irfft(d * scale, n=n, axis=1) * win
+        inv_mag[:, 1:(n + 1) // 2] *= 0.5
+        gframes = n * np.fft.irfft(g * spec * inv_mag, n=n, axis=1) * win
         gx = np.zeros_like(xv)
         # frames taken every n//hop apart tile the signal without overlap,
         # so overlap-add reduces to strided flat adds
         stride = n // hop
-        for k in range(min(stride, n_frames)):
+        for k in range(min(stride, len(frames))):
             sub = gframes[k::stride]
             start = k * hop
             gx[start: start + sub.size] += sub.ravel()

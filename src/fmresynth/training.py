@@ -319,7 +319,7 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
     valid_records = manifest.split_records("valid")
 
     cache = {}
-    for r in manifest.records:
+    for r in train_records + valid_records:
         audio, track, _env = ds.load_clip(run.corpus_dir, r)
         cache[r.clip_id] = (sp.target_spectrograms(audio), track)
     valid_clips = [cache[r.clip_id] for r in valid_records]
@@ -337,22 +337,27 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
             batch = ds.minibatch(manifest, "train", run.batch,
                                  seed=run.seed, epoch=epoch)[batch_idx]
 
-            total = None
+            # back-propagate each clip as soon as its loss is known, so a
+            # step holds one clip's tape whatever the batch size; the leaf
+            # grads accumulate the batch mean in batch order
+            for p in all_params.values():
+                p.zero_grad()
+            scale = ad.constant(1.0 / len(batch))
+            total = 0.0
             for j, record in enumerate(batch):
                 audio, track = cache[record.clip_id]
                 _env, _dry, wet = model.forward(
                     track, mode="train", seed=_dropout_seed(run.seed, step, j))
                 loss = sp.mss_loss(audio, wet)
-                total = loss if total is None else ad.add(total, loss)
-            total = ad.mul(total, ad.constant(1.0 / len(batch)))
-            train_loss = total.item()
-            if not np.isfinite(train_loss):
-                raise FloatingPointError(
-                    f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
-                )
-            for p in all_params.values():
-                p.zero_grad()
-            ad.backward(total)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise FloatingPointError(
+                        f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
+                    )
+                total += value
+                ad.backward(ad.mul(loss, scale))
+                del _env, _dry, wet, loss  # free this clip's tape
+            train_loss = total * scale.item()
             grads = {name: (p.grad if p.grad is not None
                             else np.zeros_like(p.values))
                      for name, p in all_params.items()}

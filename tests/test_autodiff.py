@@ -117,6 +117,32 @@ class TestOpValues:
         assert np.isclose(up[2], 2.0)  # midpoint of 1 and 3
         assert np.all(up[8:] == 2.0)   # final frame held
 
+    @pytest.mark.parametrize("factor", [1, 3, 64])
+    @pytest.mark.parametrize("shape", [(7,), (2, 7)])
+    def test_linear_upsample_matches_interp(self, factor, shape):
+        x = np.random.default_rng(4).standard_normal(shape)
+        up = ad.linear_upsample(Tensor(x), factor).values
+        t = shape[-1]
+        pos = np.arange(t * factor) / factor
+        expected = np.array([np.interp(pos, np.arange(t), row)
+                             for row in x.reshape(-1, t)]).reshape(up.shape)
+        assert up.shape == shape[:-1] + (t * factor,)
+        assert np.allclose(up, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1, 3, 64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (2, 7)])
+    def test_linear_upsample_backward_is_the_dense_adjoint(self, factor, shape):
+        t = shape[-1]
+        pos = np.arange(t * factor) / factor
+        # column j is the upsampled unit impulse at frame j
+        dense = np.array([np.interp(pos, np.arange(t), e) for e in np.eye(t)]).T
+        rng = np.random.default_rng(5)
+        x = ad.parameter(rng.standard_normal(shape))
+        g = rng.standard_normal(shape[:-1] + (t * factor,))
+        ad.backward(ad.reduce_sum(ad.mul(ad.linear_upsample(x, factor),
+                                         ad.constant(g))))
+        assert np.allclose(x.grad, g @ dense, rtol=0.0, atol=1e-12)
+
     def test_stft_magnitude_sine_peak(self):
         sr, n = 1024, 256
         t = np.arange(1024) / sr

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,7 +168,6 @@ class TestCheckpoints:
         path = tmp_path / "a.ckpt"
         tr.save_checkpoint(path, tiny_run, 1, params, reverb_params,
                            tr.AdamState())
-        from dataclasses import replace
         other = replace(tiny_run, seed=99)
         with pytest.raises(ValueError, match="different RunConfig"):
             tr.load_checkpoint(path, other)
@@ -235,6 +235,74 @@ class TestTrainLoop:
                            steps=1, batch=1)
         with pytest.raises(ValueError, match="train split"):
             tr.train(run, tmp_path / "out")
+
+
+class TestGradientAccumulation:
+    @pytest.fixture
+    def pair_run(self, tmp_path, two_osc_config):
+        ds.synth_corpus(two_osc_config, 2, seed=3, out_dir=tmp_path / "corpus",
+                        split_fractions=(1.0, 0.0, 0.0))
+        return tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
+                            patch_path=packaged_config("strings1_2"),
+                            steps=1, batch=2, seed=5, hidden_channels=8,
+                            blocks=2)
+
+    def test_matches_one_backward_over_the_summed_batch(self, tmp_path,
+                                                        pair_run,
+                                                        monkeypatch):
+        seen = []
+        clip = tr.clip_gradients
+        monkeypatch.setattr(tr, "clip_gradients", lambda grads, max_norm:
+                            seen.append(dict(grads)) or clip(grads, max_norm))
+        tr.train(pair_run, tmp_path / "out")
+        (accumulated,) = seen
+
+        # reference: both clip graphs summed with ad.add, one backward
+        model = tr.Model.build(pair_run)
+        manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
+        batch = ds.minibatch(manifest, "train", 2, seed=pair_run.seed,
+                             epoch=0)[0]
+        total = None
+        for j, record in enumerate(batch):
+            audio, track, _env = ds.load_clip(pair_run.corpus_dir, record)
+            _e, _d, wet = model.forward(
+                track, mode="train", seed=tr._dropout_seed(pair_run.seed, 0, j))
+            loss = sp.mss_loss(audio, wet)
+            total = loss if total is None else ad.add(total, loss)
+        ad.backward(ad.mul(total, ad.constant(0.5)))
+        reference = model.named_params()
+        assert accumulated.keys() == reference.keys()
+        for name, p in reference.items():
+            scale = np.max(np.abs(p.grad))
+            assert scale > 0.0, name
+            assert np.max(np.abs(accumulated[name] - p.grad)) <= 1e-12 * scale, name
+
+    def test_one_backward_per_clip_per_step(self, tmp_path, pair_run,
+                                            monkeypatch):
+        calls = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward",
+                            lambda loss: calls.append(loss) or backward(loss))
+        run = replace(pair_run, steps=3)
+        tr.train(run, tmp_path / "out")
+        assert len(calls) == run.steps * run.batch
+
+    def test_target_cache_skips_the_test_split(self, tmp_path, two_osc_config,
+                                               monkeypatch):
+        ds.synth_corpus(two_osc_config, 10, seed=0, out_dir=tmp_path / "corpus",
+                        split_fractions=(0.7, 0.1, 0.2))
+        manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
+        assert [len(manifest.split_records(s))
+                for s in ("train", "valid", "test")] == [7, 1, 2]
+        calls = []
+        targets = sp.target_spectrograms
+        monkeypatch.setattr(sp, "target_spectrograms",
+                            lambda audio: calls.append(1) or targets(audio))
+        run = tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
+                           patch_path=packaged_config("strings1_2"),
+                           steps=1, batch=1, hidden_channels=8, blocks=2)
+        tr.train(run, tmp_path / "out")
+        assert len(calls) == 8
 
 
 class TestOpSet:
