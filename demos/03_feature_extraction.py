@@ -9,7 +9,7 @@ import numpy as np
 
 from fmresynth import features as ft
 
-SR = 16000
+SR = ft.SAMPLE_RATE
 
 # 2-second glide from A3 to A4 with a few harmonics
 t = np.arange(2 * SR) / SR
@@ -19,7 +19,7 @@ tone = 0.6 * np.sin(phase) + 0.25 * np.sin(2 * phase) + 0.1 * np.sin(3 * phase)
 
 track = ft.extract_features(tone)
 voiced = track.confidence > 0.5
-print(f"glide: {track.n_frames} frames at {track.frame_rate:.0f} Hz")
+print(f"glide: {track.n_frames} frames at {ft.SAMPLE_RATE / ft.HOP:.0f} Hz")
 print(f"  voiced fraction     {voiced.mean():.2f}")
 print(f"  f0 range            {track.f0_hz[voiced].min():.1f} .. "
       f"{track.f0_hz[voiced].max():.1f} Hz (true 220 .. 440)")

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: prepare, train, resynth, render, analyze, eval, lint.
-Every subcommand accepts --seed, --config and --out; all randomness flows
-from --seed, which train takes from the RunConfig unless it is given.
+Every subcommand accepts --seed, --config and --out; their help says which
+subcommands read each. All randomness flows from --seed, which train takes
+from the RunConfig unless it is given.
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -33,12 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for prepare and train; the others ignore it")
     parser.add_argument("--config", type=str, default=None,
-                        help="path to a config file (RunConfig JSON for "
-                             "train/resynth/eval)")
+                        help="RunConfig JSON, read by train only (resynth "
+                             "reads --run, eval <cell>.run.json)")
     parser.add_argument("--out", type=str, default=".",
-                        help="output directory (or file path for render)")
+                        help="output directory (or file path for render); "
+                             "analyze and lint ignore it")
 
 
 def build_parser():
@@ -137,9 +140,8 @@ def _cmd_prepare(args):
 
 def _cmd_render(args):
     config = fm.load_config(args.patch)
-    frame_rate = ds.SAMPLE_RATE / ds.HOP
     if _is_number(args.f0):
-        t_frames = int(round(args.seconds * frame_rate))
+        t_frames = int(round(args.seconds * ds.SAMPLE_RATE / ds.HOP))
         f0 = np.full(t_frames, float(args.f0))
     else:
         with np.load(args.f0) as data:
@@ -156,8 +158,7 @@ def _cmd_render(args):
         env = np.tile([1.0 if o.carrier else 0.0 for o in config.oscillators],
                       (t_frames, 1))
     i_max = tr.I_MAX_CHOICES[args.imax] if args.imax else None
-    spec = fm.RenderSpec(sample_rate=ds.SAMPLE_RATE, hop=ds.HOP, f0_frames=f0)
-    audio = fm.render(config, env, spec, i_max=i_max).values
+    audio = fm.render(config, env, fm.RenderSpec(f0_frames=f0), i_max=i_max).values
     out = Path(args.out)
     if out.suffix != ".wav":
         out.mkdir(parents=True, exist_ok=True)

@@ -23,13 +23,12 @@ from scipy.signal import resample_poly
 
 from . import features as ft
 from . import fmsynth as fm
+from .features import HOP, SAMPLE_RATE
 
 log = logging.getLogger(__name__)
 
-SAMPLE_RATE = 16000
 CLIP_SECONDS = 4.0
 CLIP_SAMPLES = int(SAMPLE_RATE * CLIP_SECONDS)
-HOP = 64
 FRAMES_PER_CLIP = CLIP_SAMPLES // HOP
 
 SILENCE_WINDOW = 1024
@@ -95,32 +94,32 @@ def read_wav(path):
     return audio.astype(np.float64), int(rate)
 
 
-def write_wav(path, audio, sample_rate=SAMPLE_RATE):
-    """Write mono 16-bit PCM."""
+def write_wav(path, audio):
+    """Write mono 16-bit PCM at SAMPLE_RATE."""
     clipped = np.clip(np.asarray(audio), -1.0, 1.0)
     pcm = (clipped * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(sample_rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(pcm.tobytes())
 
 
-def resample_to(audio, rate_in, rate_out=SAMPLE_RATE):
-    """Polyphase windowed-sinc resampling (Kaiser window)."""
-    if rate_in == rate_out:
+def resample_to(audio, rate_in):
+    """Polyphase windowed-sinc resampling (Kaiser window) to SAMPLE_RATE."""
+    if rate_in == SAMPLE_RATE:
         return np.asarray(audio, dtype=np.float64)
-    g = np.gcd(int(rate_in), int(rate_out))
-    return resample_poly(audio, rate_out // g, rate_in // g, window=("kaiser", 8.0))
+    g = np.gcd(int(rate_in), SAMPLE_RATE)
+    return resample_poly(audio, SAMPLE_RATE // g, rate_in // g, window=("kaiser", 8.0))
 
 
-def strip_silence(audio, threshold_db=SILENCE_THRESHOLD_DB):
+def strip_silence(audio):
     """Drop hop-sized blocks whose surrounding window RMS is below threshold."""
     n_blocks = len(audio) // SILENCE_HOP
     if n_blocks == 0:
         return np.zeros(0)
     keep = []
-    thresh = 10.0 ** (threshold_db / 20.0)
+    thresh = 10.0 ** (SILENCE_THRESHOLD_DB / 20.0)
     for b in range(n_blocks):
         start = b * SILENCE_HOP
         window = audio[start: start + SILENCE_WINDOW]
@@ -132,10 +131,10 @@ def strip_silence(audio, threshold_db=SILENCE_THRESHOLD_DB):
     return np.concatenate(keep)
 
 
-def chop_clips(audio, clip_samples=CLIP_SAMPLES):
-    """Consecutive full-length clips; the remainder is dropped."""
-    n = len(audio) // clip_samples
-    return [audio[i * clip_samples: (i + 1) * clip_samples] for i in range(n)]
+def chop_clips(audio):
+    """Consecutive CLIP_SAMPLES-long clips; the remainder is dropped."""
+    n = len(audio) // CLIP_SAMPLES
+    return [audio[i * CLIP_SAMPLES: (i + 1) * CLIP_SAMPLES] for i in range(n)]
 
 
 def assign_splits(n, seed, fractions=SPLIT_FRACTIONS):
@@ -168,7 +167,9 @@ def _save_clip_audio(path, audio):
 
 
 def load_clip_audio(path):
-    meta = json.loads(Path(str(path) + ".json").read_text())
+    sidecar = Path(str(path) + ".json")
+    meta = json.loads(sidecar.read_text())
+    _check_keys(sidecar, "clip sidecar", meta, ("samples",), ("sample_rate", "dtype"))
     audio = np.fromfile(path, dtype="<f4").astype(np.float64)
     if len(audio) != meta["samples"]:
         raise ValueError(f"clip cache {path} is truncated")
@@ -232,9 +233,7 @@ def load_manifest(path):
 # ---------------------------------------------------------------------------
 # ingestion
 
-def ingest(directory, instrument, seed, out_dir,
-           split_fractions=SPLIT_FRACTIONS,
-           silence_threshold_db=SILENCE_THRESHOLD_DB):
+def ingest(directory, instrument, seed, out_dir):
     """Preprocess a directory of wav files into a cached, split corpus."""
     directory = Path(directory)
     out_dir = Path(out_dir)
@@ -249,7 +248,7 @@ def ingest(directory, instrument, seed, out_dir,
             log.warning("skipping unreadable file %s: %s", wav_path, exc)
             continue
         audio = resample_to(audio, rate)
-        audio = strip_silence(audio, silence_threshold_db)
+        audio = strip_silence(audio)
         clips = chop_clips(audio)
         if not clips:
             log.warning("no audio survived silence stripping in %s", wav_path)
@@ -265,7 +264,7 @@ def ingest(directory, instrument, seed, out_dir,
     if not kept:
         raise ValueError(f"no clips survived preprocessing in {directory}")
 
-    labels = assign_splits(len(kept), seed, split_fractions)
+    labels = assign_splits(len(kept), seed)
     records = []
     for (clip_id, source, clip, track), split in zip(kept, labels):
         audio_path = f"{clip_id}.f32"
@@ -277,12 +276,8 @@ def ingest(directory, instrument, seed, out_dir,
             split=split, mean_confidence=float(track.confidence.mean()),
             audio_path=audio_path, features_path=features_path,
         ))
-    manifest = CorpusManifest(
-        instrument=instrument, seed=seed, records=records,
-        split_fractions=tuple(split_fractions),
-        silence_threshold_db=silence_threshold_db,
-        confidence_threshold=threshold,
-    )
+    manifest = CorpusManifest(instrument=instrument, seed=seed, records=records,
+                              confidence_threshold=threshold)
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest
 
@@ -313,7 +308,7 @@ def synth_corpus(config, n_clips, seed, out_dir,
         n_segments = 4
         f0 = np.repeat(rng.uniform(200.0, 600.0, size=n_segments),
                        int(np.ceil(t / n_segments)))[:t]
-        spec = fm.RenderSpec(sample_rate=SAMPLE_RATE, hop=HOP, f0_frames=f0)
+        spec = fm.RenderSpec(f0_frames=f0)
         audio = fm.render(config, env, spec, i_max=i_max).values
         track = ft.extract_features(audio)
 
@@ -347,6 +342,9 @@ def load_clip(out_dir, record):
     env = None
     if record.envelopes_path:
         with np.load(out_dir / record.envelopes_path) as data:
+            if "envelopes" not in data.files:
+                raise ValueError(f"{out_dir / record.envelopes_path}: "
+                                 "no 'envelopes' array")
             env = data["envelopes"]
     return audio, track, env
 

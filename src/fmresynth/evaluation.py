@@ -24,6 +24,7 @@ from . import training as tr
 LSD_WINDOW = 1024
 LSD_HOP = 256
 LSD_EPSILON = 1e-6
+F0_CONFIDENCE_FLOOR = 0.5  # f0 RMSE uses frames where both confidences exceed it
 
 # Table-shaped experiment grids: which ablated variants exist per instrument
 ABLATION_VARIANTS = {
@@ -68,24 +69,22 @@ def _resynthesize(model, audio, track=None):
     return out
 
 
-def log_spectral_distance(target, prediction,
-                          window=LSD_WINDOW, hop=LSD_HOP, eps=LSD_EPSILON):
+def log_spectral_distance(target, prediction):
     """Mean over frames of sqrt(mean over bins of squared dB log ratio)."""
-    s_t = ad.stft_magnitude(np.asarray(target, dtype=np.float64), window, hop).values
-    s_p = ad.stft_magnitude(np.asarray(prediction, dtype=np.float64), window, hop).values
-    ratio = 20.0 * np.log10((s_t + eps) / (s_p + eps))
+    s_t = ad.stft_magnitude(target, LSD_WINDOW, LSD_HOP).values
+    s_p = ad.stft_magnitude(prediction, LSD_WINDOW, LSD_HOP).values
+    ratio = 20.0 * np.log10((s_t + LSD_EPSILON) / (s_p + LSD_EPSILON))
     return float(np.mean(np.sqrt(np.mean(ratio ** 2, axis=1))))
 
 
-def f0_rmse_cents(target, prediction, sample_rate=16000, hop=64,
-                  confidence_floor=0.5):
+def f0_rmse_cents(target, prediction):
     """RMSE in cents over frames where both estimates are confident.
 
     Returns 0.0 when no frame qualifies.
     """
-    f0_t, conf_t = ft.estimate_f0(target, sample_rate, hop)
-    f0_p, conf_p = ft.estimate_f0(prediction, sample_rate, hop)
-    mask = (conf_t > confidence_floor) & (conf_p > confidence_floor) \
+    f0_t, conf_t = ft.estimate_f0(target)
+    f0_p, conf_p = ft.estimate_f0(prediction)
+    mask = (conf_t > F0_CONFIDENCE_FLOOR) & (conf_p > F0_CONFIDENCE_FLOOR) \
         & (f0_t > 0) & (f0_p > 0)
     if not np.any(mask):
         return 0.0
@@ -93,7 +92,7 @@ def f0_rmse_cents(target, prediction, sample_rate=16000, hop=64,
     return float(np.sqrt(np.mean(cents ** 2)))
 
 
-def compute_metrics(target, prediction, sample_rate=16000):
+def compute_metrics(target, prediction):
     """Per-clip metric dict: mss, lsd_db, f0_rmse_cents."""
     target = np.asarray(target, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
@@ -104,7 +103,7 @@ def compute_metrics(target, prediction, sample_rate=16000):
     return {
         "mss": sp.mss_loss(target, prediction).item(),
         "lsd_db": log_spectral_distance(target, prediction),
-        "f0_rmse_cents": f0_rmse_cents(target, prediction, sample_rate),
+        "f0_rmse_cents": f0_rmse_cents(target, prediction),
     }
 
 

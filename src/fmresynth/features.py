@@ -6,8 +6,9 @@ from the CMNDF minimum. Loudness applies the analytic A-weighting curve to
 Hann-windowed power spectra and is normalized so a full-scale 1 kHz sine
 reads close to 0 dB.
 
-All tracks share the same frame grid: frame t is centered at t * hop, and
-T = len(audio) // hop.
+This module owns the one frame grid of the package: 16 kHz audio, hop 64,
+so 250 frames per second. Frame t is centered at t * HOP, and
+T = len(audio) // HOP.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
+
+SAMPLE_RATE = 16000
+HOP = 64
 
 FEATURE_VERSION = 1
 
@@ -48,37 +52,26 @@ class FeatureTrack:
     f0_hz: np.ndarray
     confidence: np.ndarray
     loudness_db: np.ndarray
-    sample_rate: int = 16000
-    hop: int = 64
 
     def __post_init__(self):
         if not (len(self.f0_hz) == len(self.confidence) == len(self.loudness_db)):
             raise ValueError("feature tracks must share one frame count")
 
     @property
-    def frame_rate(self):
-        return self.sample_rate / self.hop
-
-    @property
     def n_frames(self):
         return len(self.f0_hz)
 
 
-def _frame_centers(n_samples, hop):
-    n_frames = n_samples // hop
-    return np.arange(n_frames) * hop
-
-
-def _centered_frames(audio, hop, window):
+def _centered_frames(audio, window):
     """[T, window] frames centered on the hop grid, zero-padded at edges."""
     half = window // 2
     padded = np.pad(audio, (half, window))
-    centers = _frame_centers(len(audio), hop)
+    centers = np.arange(len(audio) // HOP) * HOP
     idx = centers[:, None] + np.arange(window)[None, :]
     return padded[idx]
 
 
-def estimate_f0(audio, sample_rate=16000, hop=64):
+def estimate_f0(audio):
     """Per-frame (f0_hz, confidence) via YIN.
 
     f0 is in [40, 2000] Hz, 0 for unvoiced frames; confidence lies in
@@ -87,11 +80,11 @@ def estimate_f0(audio, sample_rate=16000, hop=64):
     audio = np.asarray(audio, dtype=np.float64)
     if audio.size == 0:
         raise ValueError("empty audio")
-    tau_max = int(sample_rate / F0_MIN)            # 400 @ 16 kHz
-    tau_min = max(2, int(sample_rate / F0_MAX))    # 8 @ 16 kHz
+    tau_max = int(SAMPLE_RATE / F0_MIN)            # 400
+    tau_min = max(2, int(SAMPLE_RATE / F0_MAX))    # 8
     w = YIN_WINDOW
     seg_len = w + tau_max
-    frames = _centered_frames(audio, hop, seg_len)  # [T, W + tau_max]
+    frames = _centered_frames(audio, seg_len)  # [T, W + tau_max]
     n_frames = frames.shape[0]
 
     # difference function d(tau) = r0 + r_tau - 2 * xcorr(tau), vectorized
@@ -135,7 +128,7 @@ def estimate_f0(audio, sample_rate=16000, hop=64):
             tau = int(np.argmin(row[tau_min:tau_max])) + tau_min
         tau_refined = _parabolic_min(row, tau)
         strength = max(0.0, 1.0 - row[tau])
-        hz = sample_rate / tau_refined
+        hz = SAMPLE_RATE / tau_refined
         if F0_MIN <= hz <= F0_MAX:
             f0[t] = hz
             conf[t] = strength ** 2
@@ -154,9 +147,9 @@ def _parabolic_min(row, tau):
 
 
 @lru_cache(maxsize=None)
-def _a_weight_power(sample_rate, window):
+def _a_weight_power():
     """Linear power weights of the A-curve on the rfft bin grid."""
-    freqs = np.fft.rfftfreq(window, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(LOUDNESS_WINDOW, 1.0 / SAMPLE_RATE)
     f2 = freqs ** 2
     ra = (12194.0 ** 2 * f2 ** 2) / (
         (f2 + 20.6 ** 2)
@@ -168,38 +161,37 @@ def _a_weight_power(sample_rate, window):
 
 
 @lru_cache(maxsize=None)
-def _loudness_reference(sample_rate, window):
+def _loudness_reference():
     """A-weighted frame power of a full-scale 1 kHz sine (0 dB anchor)."""
-    t = np.arange(sample_rate) / sample_rate
+    t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
     sine = np.sin(2.0 * np.pi * 1000.0 * t)
-    frame = sine[:window]
-    return _frame_weighted_power(frame[None, :], sample_rate, window)[0]
+    return _frame_weighted_power(sine[None, :LOUDNESS_WINDOW])[0]
 
 
-def _frame_weighted_power(frames, sample_rate, window):
-    spec = np.fft.rfft(frames * ad.hann_window(window), axis=1)
+def _frame_weighted_power(frames):
+    """A-weighted power of [T, LOUDNESS_WINDOW] frames under a Hann window."""
+    spec = np.fft.rfft(frames * ad.hann_window(LOUDNESS_WINDOW), axis=1)
     power = np.abs(spec) ** 2
-    return power @ _a_weight_power(sample_rate, window)
+    return power @ _a_weight_power()
 
 
-def a_weighted_loudness(audio, sample_rate=16000, hop=64):
+def a_weighted_loudness(audio):
     """Per-frame A-weighted loudness in dB, clamped to [-80, 0].
 
     Normalized so a full-scale 1 kHz sine reads about 0 dB.
     """
     audio = np.asarray(audio, dtype=np.float64)
-    frames = _centered_frames(audio, hop, LOUDNESS_WINDOW)
-    power = _frame_weighted_power(frames, sample_rate, LOUDNESS_WINDOW)
-    ref = _loudness_reference(sample_rate, LOUDNESS_WINDOW)
+    frames = _centered_frames(audio, LOUDNESS_WINDOW)
+    power = _frame_weighted_power(frames)
+    ref = _loudness_reference()
     db = 10.0 * np.log10(np.maximum(power / ref, 1e-20))
     return np.clip(db, LOUDNESS_FLOOR_DB, 0.0)
 
 
-def extract_features(audio, sample_rate=16000, hop=64):
-    f0, conf = estimate_f0(audio, sample_rate, hop)
-    loud = a_weighted_loudness(audio, sample_rate, hop)
-    return FeatureTrack(f0_hz=f0, confidence=conf, loudness_db=loud,
-                        sample_rate=sample_rate, hop=hop)
+def extract_features(audio):
+    f0, conf = estimate_f0(audio)
+    loud = a_weighted_loudness(audio)
+    return FeatureTrack(f0_hz=f0, confidence=conf, loudness_db=loud)
 
 
 def hz_to_midi(f0):
@@ -222,28 +214,30 @@ def normalize(track):
 
 
 # ---------------------------------------------------------------------------
-# feature cache files (npz container, versioned)
+# feature cache files (npz container, versioned; records the grid it was
+# written on)
 
 def save_features(path, track):
     np.savez(path,
              f0=track.f0_hz,
              confidence=track.confidence,
              loudness=track.loudness_db,
-             sample_rate=np.int64(track.sample_rate),
-             hop=np.int64(track.hop),
+             sample_rate=np.int64(SAMPLE_RATE),
+             hop=np.int64(HOP),
              version=np.int64(FEATURE_VERSION))
 
 
 def load_features(path):
+    """FeatureTrack from a cache file; raises ValueError naming the file for
+    a missing key, another version, or a grid other than SAMPLE_RATE/HOP."""
+    expected = (FEATURE_VERSION, SAMPLE_RATE, HOP)
     with np.load(path) as data:
-        if int(data["version"]) != FEATURE_VERSION:
-            raise ValueError(
-                f"feature cache version {int(data['version'])} != {FEATURE_VERSION}"
-            )
-        return FeatureTrack(
-            f0_hz=data["f0"],
-            confidence=data["confidence"],
-            loudness_db=data["loudness"],
-            sample_rate=int(data["sample_rate"]),
-            hop=int(data["hop"]),
-        )
+        try:
+            found = tuple(int(data[k]) for k in ("version", "sample_rate", "hop"))
+            if found != expected:
+                raise ValueError(f"{path}: feature cache (version, sample_rate, "
+                                 f"hop) is {found}, expected {expected}")
+            return FeatureTrack(f0_hz=data["f0"], confidence=data["confidence"],
+                                loudness_db=data["loudness"])
+        except KeyError as exc:  # "<key> is not a file in the archive"
+            raise ValueError(f"{path}: {exc.args[0]}") from None

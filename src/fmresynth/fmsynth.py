@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .features import HOP, SAMPLE_RATE
 
 MAX_OSCILLATORS = 6
 
@@ -114,8 +115,9 @@ class FmConfig:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    sample_rate: int = 16000
-    hop: int = 64
+    """f0 frames and the grid to render them on (the package's by default)."""
+    sample_rate: int = SAMPLE_RATE
+    hop: int = HOP
     f0_frames: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -123,10 +125,6 @@ class RenderSpec:
         if np.any(f0 < 0):
             raise ValueError("f0 frames must be non-negative (0 = unvoiced)")
         object.__setattr__(self, "f0_frames", f0)
-
-    @property
-    def frame_rate(self):
-        return self.sample_rate / self.hop
 
 
 # ---------------------------------------------------------------------------

@@ -14,28 +14,27 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .features import SAMPLE_RATE
 
 IR_SECONDS = 1.0
 
 
 @dataclass
 class ReverbParams:
-    ir_raw: Tensor        # [sample_rate] learnable raw impulse response
+    ir_raw: Tensor        # [SAMPLE_RATE] learnable raw impulse response
     decay: Tensor         # scalar, positive via softplus
     wet_gain: Tensor      # scalar
-    sample_rate: int = 16000
 
 
-def init_reverb(seed, sample_rate=16000):
+def init_reverb(seed):
     """Seeded init: tiny noise IR, softplus(decay) ~= 4, wet_gain 0.5."""
     rng = np.random.default_rng(seed)
-    ir = rng.standard_normal(int(sample_rate * IR_SECONDS)) * 1e-3
+    ir = rng.standard_normal(int(SAMPLE_RATE * IR_SECONDS)) * 1e-3
     decay0 = float(np.log(np.expm1(4.0)))  # softplus(decay0) == 4
     return ReverbParams(
         ir_raw=ad.parameter(ir),
         decay=ad.parameter(decay0),
         wet_gain=ad.parameter(0.5),
-        sample_rate=sample_rate,
     )
 
 
@@ -51,7 +50,7 @@ def reverb_param_dict(params):
 def effective_ir(params):
     """wet[n] = wet_gain * ir_raw[n] * exp(-softplus(decay) * n / sr), wet[0] = 0."""
     n = params.ir_raw.values.shape[0]
-    t = np.arange(n) / params.sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     # stable softplus: relu(d) + log(1 + exp(-|d|))
     d = params.decay
     softplus = ad.add(ad.relu(d),

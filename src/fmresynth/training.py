@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -205,9 +206,11 @@ def load_checkpoint(path, run=None):
             raise ValueError(f"{path}: blob name is not UTF-8") from None
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(8 * count), dtype="<f8")
-        blobs[name] = arr.reshape(shape).copy()
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            blobs[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # a shape numpy cannot hold
+            raise ValueError(f"{path}: blob {name!r}: {exc}") from None
     return step, blobs
 
 
@@ -277,14 +280,20 @@ class Model:
 
     def forward(self, track, mode="inference", seed=0):
         """(envelopes [n_osc, T], dry audio, wet audio) Tensors for a
-        FeatureTrack; mode "train" applies dropout seeded by ``seed``."""
+        FeatureTrack; mode "train" applies dropout seeded by ``seed`` and
+        records the tape, "inference" records none."""
+        params, reverb_params = self.params, self.reverb_params
+        if mode == "inference":
+            params = {k: ad.constant(p.values) for k, p in params.items()}
+            reverb_params = rv.ReverbParams(**{
+                f.name: ad.constant(getattr(reverb_params, f.name).values)
+                for f in fields(reverb_params)})
         cond = ft.normalize(track)
-        env = tcn.decode(self.spec, self.params, self.config, cond.frames,
+        env = tcn.decode(self.spec, params, self.config, cond.frames,
                          mode=mode, seed=seed)
-        render_spec = fm.RenderSpec(sample_rate=track.sample_rate, hop=track.hop,
-                                    f0_frames=track.f0_hz)
-        dry = fm.render(self.config, env, render_spec, i_max=self.spec.i_max)
-        wet = rv.apply_reverb(dry, self.reverb_params)
+        dry = fm.render(self.config, env, fm.RenderSpec(f0_frames=track.f0_hz),
+                        i_max=self.spec.i_max)
+        wet = rv.apply_reverb(dry, reverb_params)
         return env, dry, wet
 
 

@@ -88,6 +88,7 @@ def test_criterion_03_monotonic_region():
            f"J1 strictly increasing: {inc}, J0 strictly decreasing: {dec}")
 
 
+@pytest.mark.slow
 def test_criterion_04_sound_matching():
     t0 = time.time()
     config = fm.load_config(packaged_config("strings1_2x2"))
@@ -160,6 +161,7 @@ def test_criterion_06_pipeline_arithmetic():
            f"splits ok {splits_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_07_overfit_smoke(tmp_path):
     t0 = time.time()
     patch = packaged_config("strings1_2")

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -220,6 +221,37 @@ class TestTrainAndDownstream:
         (corpus / "manifest.json").write_text(json.dumps(payload))
         assert run_cli("lint", "--corpus", str(corpus)) == 2
         assert "manifest.json" in capsys.readouterr().err
+
+    # one case per cached file kind train reads, and features written on
+    # another frame grid
+    @pytest.mark.parametrize("kind, key, value", [
+        ("features.npz", "loudness", None), ("f32.json", "samples", None),
+        ("envelopes.npz", "envelopes", None),
+        ("features.npz", "sample_rate", 44100), ("features.npz", "hop", 147)])
+    def test_train_on_a_malformed_corpus_file_is_runtime_error(
+            self, workspace, tmp_path, capsys, kind, key, value):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        manifest = ds.load_manifest(corpus / "manifest.json")
+        record = manifest.split_records("train")[0]
+        path = corpus / f"{record.clip_id}.{kind}"
+        if kind == "f32.json":
+            meta = json.loads(path.read_text())
+            del meta[key]
+            path.write_text(json.dumps(meta))
+        else:
+            with np.load(path) as data:
+                arrays = dict(data)
+            if value is None:
+                del arrays[key]
+            else:
+                arrays[key] = np.int64(value)
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+        assert run_cli("train", "--config", str(workspace / "run.json"),
+                       "--corpus", str(corpus), "--steps", "1",
+                       "--out", str(tmp_path / "out")) == 2
+        assert path.name in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"}])
     def test_malformed_run_json_is_runtime_error(self, workspace, tmp_path,

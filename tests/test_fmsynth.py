@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 from importlib import resources
 
 from fmresynth import fmsynth as fm
 from fmresynth.fmsynth import ConfigError, FmConfig, Oscillator
 
 from conftest import packaged_config, piecewise_envelopes
+
+BUNDLED = ["flute1", "flute1_4y", "flute1_2",
+           "strings1", "strings1_4x1", "strings1_2x2", "strings1_2",
+           "brass3", "brass3_4y", "brass3_2"]
 
 
 class TestConfigValidation:
@@ -81,17 +86,25 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="name"):
             fm.parse_config("osc: ratio=1.0 carrier\n")
 
-    @pytest.mark.parametrize("name", [
-        "flute1", "flute1_4y", "flute1_2",
-        "strings1", "strings1_4x1", "strings1_2x2", "strings1_2",
-        "brass3", "brass3_4y", "brass3_2",
-    ])
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_configs_load_and_roundtrip(self, name):
         config = fm.load_config(packaged_config(name))
         assert config.name == name
         assert 1 <= config.n_oscillators <= 6
         assert config.carrier_indices
         assert fm.parse_config(fm.serialize_config(config)) == config
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(BUNDLED), by_line=st.booleans(), data=st.data())
+    def test_patch_with_one_deletion_parses_or_is_a_config_error(
+            self, name, by_line, data):
+        text = open(packaged_config(name)).read()
+        units = text.splitlines(keepends=True) if by_line else list(text)
+        i = data.draw(st.integers(0, len(units) - 1), label="deleted unit")
+        try:
+            fm.parse_config("".join(units[:i] + units[i + 1:]))
+        except ConfigError:
+            pass
 
 
 class TestBesselOracle:

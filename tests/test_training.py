@@ -1,9 +1,11 @@
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmresynth import autodiff as ad
 from fmresynth import cli
@@ -12,6 +14,7 @@ from fmresynth import features as ft
 from fmresynth import fmsynth as fm
 from fmresynth import reverb as rv
 from fmresynth import spectral as sp
+from fmresynth import tcn
 from fmresynth import training as tr
 
 from conftest import packaged_config, piecewise_envelopes
@@ -157,6 +160,22 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="partial.ckpt.*out.b"):
             tr.Model.load(run, partial)
 
+    # a shape numpy cannot hold: more dimensions than it supports, and a
+    # zero-size shape whose other dimensions overflow its size arithmetic
+    @pytest.mark.parametrize("shape", [(0,) * 70, (0, 2 ** 31, 2 ** 31, 2 ** 31)])
+    def test_unholdable_blob_shape_names_the_file(self, tmp_path, tiny_run,
+                                                   shape):
+        name = b"param/x"
+        data = b"".join([tr.CHECKPOINT_MAGIC,
+                         struct.pack("<I", tr.CHECKPOINT_VERSION),
+                         tiny_run.digest(), struct.pack("<QI", 0, 1),
+                         struct.pack("<H", len(name)), name,
+                         struct.pack(f"<B{len(shape)}I", len(shape), *shape)])
+        bad = tmp_path / "shape.ckpt"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match="shape.ckpt"):
+            tr.load_checkpoint(bad)
+
     def test_magic_checked(self, tmp_path, tiny_run):
         bad = tmp_path / "x.ckpt"
         bad.write_bytes(b"JUNKJUNKJUNK")
@@ -188,6 +207,73 @@ class TestCheckpoints:
         back = tr.RunConfig.from_json(tiny_run.to_json())
         assert back == tiny_run
         assert back.digest() == tiny_run.digest()
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    """A small model's checkpoint with Adam moments, the run that wrote it,
+    and the offsets of its blob headers (name length, name, ndim, dims)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    run = tr.RunConfig(corpus_dir=str(root),
+                       patch_path=packaged_config("strings1_2"),
+                       hidden_channels=4, blocks=1)
+    model = tr.Model.build(run)
+    adam = tr.AdamState(t=3)
+    for name, p in model.named_params().items():
+        adam.m[name] = np.full_like(p.values, 0.1)
+        adam.v[name] = np.full_like(p.values, 0.01)
+    path = root / "base.ckpt"
+    tr.save_checkpoint(path, run, 5, model.params, model.reverb_params, adam)
+    data = path.read_bytes()
+    _step, blobs = tr.load_checkpoint(path, run)
+    headers = sorted(data.index(name.encode()) - 2 for name in blobs)
+    return run, data, headers, root / "fuzzed.ckpt"
+
+
+class TestCheckpointFuzz:
+    # most bytes are float data, so offsets are drawn from the file header,
+    # the blob headers and the whole file alike
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.booleans(), bit=st.integers(0, 7), data=st.data())
+    def test_flipped_or_truncated_checkpoint_loads_or_is_a_value_error(
+            self, fuzz_target, cut, bit, data):
+        run, blob, headers, path = fuzz_target
+        offset = data.draw(st.one_of(
+            st.integers(0, 60),
+            st.sampled_from(headers).flatmap(lambda h: st.integers(h, h + 40)),
+            st.integers(0, len(blob) - 1)), label="offset")
+        offset = min(offset, len(blob) - 1)
+        if cut:
+            path.write_bytes(blob[:offset])
+        else:
+            flipped = bytearray(blob)
+            flipped[offset] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+        try:
+            tr.Model.load(run, path)
+        except ValueError as exc:
+            assert path.name in str(exc)
+
+
+class TestInference:
+    def test_inference_forward_records_no_tape(self, tmp_path):
+        run = tr.RunConfig(corpus_dir=str(tmp_path),
+                           patch_path=packaged_config("strings1_2"),
+                           hidden_channels=4, blocks=2)
+        model = tr.Model.build(run)
+        track = ft.extract_features(0.5 * np.sin(np.arange(4096) * 0.1))
+        env, dry, wet = model.forward(track)
+        assert env._backward_fn is None and dry._backward_fn is None
+        assert wet._backward_fn is None
+        # the same chain over the trainable weights gives the same audio
+        env_t = tcn.decode(model.spec, model.params, model.config,
+                           ft.normalize(track).frames)
+        dry_t = fm.render(model.config, env_t, fm.RenderSpec(f0_frames=track.f0_hz),
+                          i_max=model.spec.i_max)
+        wet_t = rv.apply_reverb(dry_t, model.reverb_params)
+        assert wet_t._backward_fn is not None
+        assert np.array_equal(wet.values, wet_t.values)
+
 
 
 class TestTrainLoop:
