@@ -2,7 +2,10 @@
 
 The pitch estimator is a deterministic YIN variant (cumulative mean
 normalized difference with parabolic interpolation); confidence is derived
-from the CMNDF minimum. Loudness applies the analytic A-weighting curve to
+from the CMNDF minimum. It runs on all frames at once: the difference
+function comes from one FFT correlation whose size only has to cover the
+W + tau_max samples of a frame (nfft >= 1424, so 1440), and the dip search
+is array code over frames. Loudness applies the analytic A-weighting curve to
 Hann-windowed power spectra and is normalized so a full-scale 1 kHz sine
 reads close to 0 dB.
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 
@@ -54,8 +58,11 @@ class FeatureTrack:
     loudness_db: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.f0_hz) == len(self.confidence) == len(self.loudness_db)):
-            raise ValueError("feature tracks must share one frame count")
+        shapes = [np.shape(t) for t in (self.f0_hz, self.confidence,
+                                        self.loudness_db)]
+        if any(len(s) != 1 for s in shapes) or len(set(shapes)) != 1:
+            raise ValueError("feature tracks must be 1-D with one frame count, "
+                             f"got shapes {shapes}")
 
     @property
     def n_frames(self):
@@ -63,12 +70,12 @@ class FeatureTrack:
 
 
 def _centered_frames(audio, window):
-    """[T, window] frames centered on the hop grid, zero-padded at edges."""
-    half = window // 2
-    padded = np.pad(audio, (half, window))
-    centers = np.arange(len(audio) // HOP) * HOP
-    idx = centers[:, None] + np.arange(window)[None, :]
-    return padded[idx]
+    """[T, window] frames centered on the hop grid, zero-padded at edges.
+
+    A read-only strided view of the padded audio, not a copy."""
+    padded = np.pad(audio, (window // 2, window))
+    n_frames = len(audio) // HOP
+    return sliding_window_view(padded, window)[:n_frames * HOP:HOP]
 
 
 def estimate_f0(audio):
@@ -88,62 +95,56 @@ def estimate_f0(audio):
     n_frames = frames.shape[0]
 
     # difference function d(tau) = r0 + r_tau - 2 * xcorr(tau), vectorized
-    # over frames via one rfft per frame
-    nfft = 1
-    while nfft < 2 * seg_len:
-        nfft *= 2
+    # over frames. xcorr needs lags 0..tau_max of the W-sample head against
+    # the whole frame; a circular correlation over nfft >= W + tau_max
+    # samples does not wrap at those lags, so no power of two is needed.
+    nfft = ad._next_fast_len(seg_len)
     spec = np.fft.rfft(frames, nfft, axis=1)
     # energy of x[tau : tau + W] via cumulative sums
-    sq = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(frames ** 2, axis=1)],
-                        axis=1)
-    e0 = sq[:, w] - sq[:, 0]
-    taus = np.arange(tau_max + 1)
-    e_tau = sq[:, taus + w] - sq[:, taus]
-    head = frames[:, :w]
-    spec_head = np.fft.rfft(head, nfft, axis=1)
+    sq = np.empty((n_frames, seg_len + 1))
+    sq[:, 0] = 0.0
+    np.cumsum(frames ** 2, axis=1, out=sq[:, 1:])
+    e0 = sq[:, w]
+    e_tau = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
+    spec_head = np.fft.rfft(frames[:, :w], nfft, axis=1)
     xcorr = np.fft.irfft(np.conj(spec_head) * spec, nfft, axis=1)[:, :tau_max + 1]
     diff = e0[:, None] + e_tau - 2.0 * xcorr
     diff = np.maximum(diff, 0.0)
 
     # cumulative mean normalized difference
+    taus = np.arange(tau_max + 1)
     cum = np.cumsum(diff[:, 1:], axis=1)
     cmndf = np.ones_like(diff)
     with np.errstate(invalid="ignore", divide="ignore"):
         cmndf[:, 1:] = diff[:, 1:] * taus[1:] / np.where(cum > 0, cum, np.inf)
 
-    f0 = np.zeros(n_frames)
-    conf = np.zeros(n_frames)
-    rms = np.sqrt(np.mean(frames[:, :w] ** 2, axis=1))
-    for t in range(n_frames):
-        if rms[t] < 1e-6:
-            continue
-        row = cmndf[t]
-        candidates = np.nonzero(row[tau_min:tau_max] < YIN_THRESHOLD)[0]
-        if candidates.size:
-            tau = int(candidates[0]) + tau_min
-            # walk down to the local minimum of the dip
-            while tau + 1 < tau_max and row[tau + 1] < row[tau]:
-                tau += 1
-        else:
-            tau = int(np.argmin(row[tau_min:tau_max])) + tau_min
-        tau_refined = _parabolic_min(row, tau)
-        strength = max(0.0, 1.0 - row[tau])
-        hz = SAMPLE_RATE / tau_refined
-        if F0_MIN <= hz <= F0_MAX:
-            f0[t] = hz
-            conf[t] = strength ** 2
-    return f0, conf
+    # dip search over all frames at once. Take the first lag under the
+    # threshold and walk down while the next lag is strictly lower (a NaN
+    # stops the walk), else the global minimum over [tau_min, tau_max).
+    search = cmndf[:, tau_min:tau_max]
+    below = search < YIN_THRESHOLD
+    first = np.argmax(below, axis=1)
+    stop = np.ones_like(below)
+    stop[:, :-1] = ~(search[:, 1:] < search[:, :-1])
+    walked = np.argmax(stop & (np.arange(search.shape[1]) >= first[:, None]),
+                       axis=1)
+    tau = tau_min + np.where(below.any(axis=1), walked,
+                             np.argmin(search, axis=1))
 
-
-def _parabolic_min(row, tau):
-    if tau <= 0 or tau >= len(row) - 1:
-        return float(tau)
-    a, b, c = row[tau - 1], row[tau], row[tau + 1]
+    # parabolic refinement around the interior lag tau, shift clipped to
+    # +-1 lag, skipped unless the parabola opens upwards
+    rows = np.arange(n_frames)
+    a, b, c = cmndf[rows, tau - 1], cmndf[rows, tau], cmndf[rows, tau + 1]
     denom = a - 2.0 * b + c
-    if denom <= 0:
-        return float(tau)
-    shift = 0.5 * (a - c) / denom
-    return tau + float(np.clip(shift, -1.0, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shift = np.where(denom <= 0, 0.0,
+                         np.clip(0.5 * (a - c) / denom, -1.0, 1.0))
+        hz = SAMPLE_RATE / (tau + shift)
+    strength = 1.0 - b
+    strength = np.where(strength > 0.0, strength, 0.0)
+    rms = np.sqrt(np.mean(frames[:, :w] ** 2, axis=1))
+    voiced = ~(rms < 1e-6) & (F0_MIN <= hz) & (hz <= F0_MAX)
+    return np.where(voiced, hz, 0.0), np.where(voiced, strength ** 2, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -229,15 +230,24 @@ def save_features(path, track):
 
 def load_features(path):
     """FeatureTrack from a cache file; raises ValueError naming the file for
-    a missing key, another version, or a grid other than SAMPLE_RATE/HOP."""
+    a missing key, a version, sample_rate or hop that is not an integer
+    scalar, another version, a grid other than SAMPLE_RATE/HOP, or tracks
+    that are not 1-D with one frame count."""
     expected = (FEATURE_VERSION, SAMPLE_RATE, HOP)
     with np.load(path) as data:
         try:
-            found = tuple(int(data[k]) for k in ("version", "sample_rate", "hop"))
-            if found != expected:
-                raise ValueError(f"{path}: feature cache (version, sample_rate, "
-                                 f"hop) is {found}, expected {expected}")
-            return FeatureTrack(f0_hz=data["f0"], confidence=data["confidence"],
-                                loudness_db=data["loudness"])
+            grid = [data[k] for k in ("version", "sample_rate", "hop")]
+            tracks = data["f0"], data["confidence"], data["loudness"]
         except KeyError as exc:  # "<key> is not a file in the archive"
             raise ValueError(f"{path}: {exc.args[0]}") from None
+    if any(g.ndim or g.dtype.kind not in "iu" for g in grid):
+        raise ValueError(f"{path}: version, sample_rate and hop must be "
+                         "integer scalars")
+    found = tuple(int(g) for g in grid)
+    if found != expected:
+        raise ValueError(f"{path}: feature cache (version, sample_rate, "
+                         f"hop) is {found}, expected {expected}")
+    try:
+        return FeatureTrack(*tracks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

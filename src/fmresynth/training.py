@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import struct
+import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from . import spectral as sp
 from . import tcn
 
 CHECKPOINT_MAGIC = b"FMRS"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 I_MAX_CHOICES = {"2": 2.0, "2pi": 2.0 * np.pi, "4pi": 4.0 * np.pi}
 
@@ -140,7 +141,8 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 # checkpoint container
 #
 # magic(4) | version u32 | digest(32) | step u64 | n_blobs u32 |
-# per blob: name_len u16 | name utf-8 | ndim u8 | dims u32... | f64 LE data
+# per blob: name_len u16 | name utf-8 | ndim u8 | dims u32... | f64 LE data |
+# crc32 u32 of every byte before it
 # Blobs are ordered by name, so save -> load -> save is byte-identical.
 
 def save_checkpoint(path, run, step, params, reverb_params, adam):
@@ -165,14 +167,15 @@ def save_checkpoint(path, run, step, params, reverb_params, adam):
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(arr.astype("<f8").tobytes())
     data = b"".join(out)
+    data += struct.pack("<I", zlib.crc32(data))
     tmp = Path(str(path) + ".tmp")
     tmp.write_bytes(data)
     tmp.replace(path)
 
 
 def load_checkpoint(path, run=None):
-    """Returns (step, blobs dict). Verifies magic, version, length and, when
-    a RunConfig is given, its digest."""
+    """Returns (step, blobs dict). Verifies magic, version, checksum, length
+    and, when a RunConfig is given, its digest."""
     data = memoryview(Path(path).read_bytes())
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -192,6 +195,11 @@ def load_checkpoint(path, run=None):
     (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} unsupported")
+    if len(data) < offset + 4 or zlib.crc32(data[:-4]) != struct.unpack(
+            "<I", data[-4:])[0]:
+        raise ValueError(f"{path}: checkpoint checksum mismatch "
+                         "(truncated or corrupted)")
+    data = data[:-4]
     digest = bytes(take(32))
     if run is not None and digest != run.digest():
         raise ValueError(f"{path}: checkpoint was written by a different RunConfig")

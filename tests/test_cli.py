@@ -222,12 +222,15 @@ class TestTrainAndDownstream:
         assert run_cli("lint", "--corpus", str(corpus)) == 2
         assert "manifest.json" in capsys.readouterr().err
 
-    # one case per cached file kind train reads, and features written on
-    # another frame grid
+    # one case per cached file kind train reads, features written on
+    # another frame grid, a 0-d track and a track one frame short
     @pytest.mark.parametrize("kind, key, value", [
         ("features.npz", "loudness", None), ("f32.json", "samples", None),
         ("envelopes.npz", "envelopes", None),
-        ("features.npz", "sample_rate", 44100), ("features.npz", "hop", 147)])
+        ("features.npz", "sample_rate", 44100), ("features.npz", "hop", 147),
+        ("features.npz", "confidence", 0.5), ("features.npz", "f0", "short"),
+        ("features.npz", "hop", [64, 64]), ("features.npz", "version", [1]),
+        ("features.npz", "sample_rate", "16000")])
     def test_train_on_a_malformed_corpus_file_is_runtime_error(
             self, workspace, tmp_path, capsys, kind, key, value):
         corpus = tmp_path / "corpus"
@@ -244,8 +247,10 @@ class TestTrainAndDownstream:
                 arrays = dict(data)
             if value is None:
                 del arrays[key]
+            elif value == "short":
+                arrays[key] = arrays[key][:-1]
             else:
-                arrays[key] = np.int64(value)
+                arrays[key] = np.asarray(value)
             with open(path, "wb") as fh:
                 np.savez(fh, **arrays)
         assert run_cli("train", "--config", str(workspace / "run.json"),

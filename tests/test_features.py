@@ -51,6 +51,116 @@ class TestPitch:
             ft.estimate_f0(np.zeros(0))
 
 
+def yin_reference(audio):
+    """Time-domain YIN, one frame and one lag at a time, with no FFT.
+
+    Returns (f0, confidence, lag, fallback) per frame: lag is the integer
+    dip the search settled on (0 where the frame is below the rms floor),
+    fallback marks frames with no lag under the threshold, and f0 and
+    confidence are 0 for unvoiced frames."""
+    tau_max = int(ft.SAMPLE_RATE / ft.F0_MIN)
+    tau_min = max(2, int(ft.SAMPLE_RATE / ft.F0_MAX))
+    w = ft.YIN_WINDOW
+    seg = w + tau_max
+    padded = np.concatenate([np.zeros(seg // 2), audio, np.zeros(seg)])
+    n_frames = len(audio) // ft.HOP
+    f0, conf, lags = np.zeros(n_frames), np.zeros(n_frames), np.zeros(n_frames, int)
+    fallback = np.zeros(n_frames, bool)
+    for t in range(n_frames):
+        x = padded[t * ft.HOP: t * ft.HOP + seg]
+        if np.sqrt(np.mean(x[:w] ** 2)) < 1e-6:
+            continue
+        d = np.array([np.sum((x[:w] - x[tau:tau + w]) ** 2)
+                      for tau in range(tau_max + 1)])
+        cmndf = np.ones(tau_max + 1)
+        total = 0.0
+        for tau in range(1, tau_max + 1):
+            total += d[tau]
+            cmndf[tau] = d[tau] * tau / total if total > 0 else 0.0
+        below = [tau for tau in range(tau_min, tau_max) if cmndf[tau] < ft.YIN_THRESHOLD]
+        if below:
+            tau = below[0]
+            while tau + 1 < tau_max and cmndf[tau + 1] < cmndf[tau]:
+                tau += 1
+        else:
+            tau = min(range(tau_min, tau_max), key=lambda k: cmndf[k])
+            fallback[t] = True
+        lags[t] = tau
+        a, b, c = cmndf[tau - 1], cmndf[tau], cmndf[tau + 1]
+        denom = a - 2.0 * b + c
+        shift = 0.0 if denom <= 0 else min(1.0, max(-1.0, 0.5 * (a - c) / denom))
+        hz = ft.SAMPLE_RATE / (tau + shift)
+        if ft.F0_MIN <= hz <= ft.F0_MAX:
+            f0[t], conf[t] = hz, max(0.0, 1.0 - b) ** 2
+    return f0, conf, lags, fallback
+
+
+def assert_matches_reference(audio):
+    """estimate_f0 against yin_reference: same voicing, values to 1e-9."""
+    f0, conf = ft.estimate_f0(audio)
+    ref_f0, ref_conf, lags, fallback = yin_reference(audio)
+    assert np.array_equal(f0 > 0, ref_f0 > 0)
+    np.testing.assert_allclose(f0, ref_f0, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(conf, ref_conf, rtol=1e-9, atol=0.0)
+    return ref_f0, lags, fallback
+
+
+def vibrato(seconds, rng):
+    t = np.arange(int(seconds * 16000)) / 16000
+    hz = 220.0 * 2.0 ** (0.5 / 12.0 * np.sin(2 * np.pi * 5.5 * t + rng.uniform(0, 6)))
+    return 0.6 * np.sin(2 * np.pi * np.cumsum(hz) / 16000)
+
+
+class TestPitchReference:
+    """estimate_f0 against a plain time-domain YIN on seeded signals, edge
+    frames included: guards the FFT size and the vectorized dip search."""
+
+    def test_sine_with_vibrato(self):
+        assert_matches_reference(vibrato(0.5, np.random.default_rng(1)))
+
+    def test_harmonic_tone(self):
+        rng = np.random.default_rng(2)
+        t = np.arange(8000) / 16000
+        tone = sum(0.5 ** k * np.sin(2 * np.pi * 180.0 * (k + 1) * t + rng.uniform(0, 6))
+                   for k in range(5))
+        assert_matches_reference(tone)
+
+    def test_white_noise_falls_back_to_the_global_minimum(self):
+        noise = np.random.default_rng(3).standard_normal(8000) * 0.3
+        _f0, _lags, fallback = assert_matches_reference(noise)
+        assert fallback.mean() > 0.5
+
+    def test_tone_with_digital_dropout(self):
+        audio = vibrato(0.6, np.random.default_rng(4))
+        audio[3000:3000 + int(0.075 * 16000)] = 0.0
+        f0, _lags, _fallback = assert_matches_reference(audio)
+        assert np.any(f0 == 0.0) and np.any(f0 > 0.0)
+
+    def test_signal_near_the_rms_floor(self):
+        # amplitude ramps through the 1e-6 rms gate
+        audio = vibrato(0.5, np.random.default_rng(5)) * np.linspace(0.5e-6, 4e-6, 8000)
+        _f0, lags, _fallback = assert_matches_reference(audio)
+        assert np.any(lags == 0) and np.any(lags > 0)
+
+    def test_dip_falling_to_tau_max_stops_there(self):
+        # a 40 Hz period is exactly tau_max = 400 lags: the dip is still
+        # falling at 399, where the walk must stop
+        _f0, lags, _fallback = assert_matches_reference(sine(40.0, seconds=0.5))
+        assert np.any(lags == int(ft.SAMPLE_RATE / ft.F0_MIN) - 1)
+
+    def test_edge_frames_match_reference(self):
+        # 50 frames of 0.2 s: the first 12 and the last 11 reach into the zero
+        # padding at the clip edges
+        audio = vibrato(0.2, np.random.default_rng(6))
+        f0, _lags, _fallback = assert_matches_reference(audio)
+        assert len(f0) == 50 and f0[0] > 0 and f0[-1] > 0
+
+    @pytest.mark.parametrize("n", [1, 63])
+    def test_shorter_than_one_hop_gives_empty_tracks(self, n):
+        f0, conf = ft.estimate_f0(np.full(n, 0.5))
+        assert f0.shape == conf.shape == (0,)
+
+
 class TestLoudness:
     def test_full_scale_1khz_reads_zero_db(self):
         db = ft.a_weighted_loudness(sine(1000.0))
