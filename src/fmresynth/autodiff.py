@@ -16,9 +16,10 @@ __all__ = [
     "Tensor",
     "AutodiffError",
     "OP_KINDS",
-    "add", "sub", "mul", "div", "neg", "sin", "exp", "log", "abs_",
+    "add", "mul", "div", "neg", "sin", "exp", "log", "abs_",
     "sigmoid", "relu", "conv1d_dilated", "linear_upsample", "stft_magnitude",
-    "reduce_sum", "dropout", "slice_", "concat", "fft_convolve", "constant",
+    "spectral_l1", "reduce_sum", "dropout", "slice_", "concat", "fft_convolve",
+    "constant",
     "parameter", "backward", "gradient_check", "check_gradients",
     "hann_window",
 ]
@@ -75,12 +76,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
@@ -160,16 +155,6 @@ def add(a, b):
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
 
     return _make(a.values + b.values, "add", (a, b), bwd)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a, b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
-
-    return _make(a.values - b.values, "sub", (a, b), bwd)
 
 
 def mul(a, b):
@@ -374,47 +359,80 @@ def hann_window(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _stft(op, x, window, hop):
+    """Hann-windowed, non-centered STFT of a 1-D Tensor's values:
+    (window array, complex spectrum [frames, window//2 + 1])."""
+    xv = _as_tensor(x).values
+    if xv.ndim != 1:
+        raise AutodiffError(f"{op}: expected 1-D input, got {xv.shape}")
+    n = int(window)
+    if xv.shape[0] < n:
+        raise AutodiffError(f"{op}: input length {xv.shape[0]} < window {n}")
+    hop = int(hop)
+    if hop < 1 or n % hop != 0:
+        raise AutodiffError(f"{op}: hop {hop} does not divide window {n}")
+    win = hann_window(n)
+    frames = np.lib.stride_tricks.sliding_window_view(xv, n)[::hop] * win
+    return win, np.fft.rfft(frames, axis=1)
+
+
 def stft_magnitude(x, window, hop):
     """Magnitude STFT of a 1-D signal: Hann window, non-centered frames.
 
-    Returns [frames, window//2 + 1]. hop must divide window. The gradient
-    at zero-magnitude bins is defined as 0.
+    Returns a constant Tensor [frames, window//2 + 1]; hop must divide
+    window. It records no tape: a loss differentiates through
+    ``spectral_l1``.
+    """
+    _win, spec = _stft("stft_magnitude", x, window, hop)
+    return Tensor(np.abs(spec))
+
+
+def spectral_l1(x, target_lin, target_log, window, hop, eps):
+    """One window of the multi-scale spectral loss as a single op.
+
+    With S = |STFT(x)| as in ``stft_magnitude``, returns the scalar
+    sum|target_lin - S| + sum|target_log - log(S + eps)|. The targets are
+    fixed arrays shaped like S. The gradient of |.| at 0, and of |S| at
+    zero-magnitude bins, is defined as 0.
     """
     x = _as_tensor(x)
-    xv = x.values
-    if xv.ndim != 1:
-        raise AutodiffError(f"stft_magnitude: expected 1-D input, got {xv.shape}")
-    n = int(window)
-    if xv.shape[0] < n:
-        raise AutodiffError(
-            f"stft_magnitude: input length {xv.shape[0]} < window {n}"
-        )
-    hop = int(hop)
-    if hop < 1 or n % hop != 0:
-        raise AutodiffError(f"stft_magnitude: hop {hop} does not divide window {n}")
-    win = hann_window(n)
-    frames = np.lib.stride_tricks.sliding_window_view(xv, n)[::hop] * win
-    spec = np.fft.rfft(frames, axis=1)
+    win, spec = _stft("spectral_l1", x, window, hop)
+    n, hop = win.shape[0], int(hop)
     mag = np.abs(spec)
+    for name, t in (("target_lin", target_lin), ("target_log", target_log)):
+        if np.shape(t) != mag.shape:
+            raise AutodiffError(f"spectral_l1: {name} shape {np.shape(t)} "
+                                f"!= spectrogram shape {mag.shape}")
+    d_lin = target_lin - mag
+    s_eps = mag + eps
+    d_log = target_log - np.log(s_eps)
+    value = np.abs(d_lin).sum() + np.abs(d_log).sum()
 
     def bwd(g):
+        ng = -g
+        gs = np.sign(d_lin)
+        gs *= ng
+        g_log = np.sign(d_log)
+        g_log *= ng
+        g_log /= s_eps
+        gs += g_log
         # d|S|/dS is S/|S|, taken as 0 where |S| = 0
         inv_mag = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
         # adjoint of one-sided rfft of real frames; interior bins appear
         # twice in the Hermitian extension, so halve them first
         inv_mag[:, 1:(n + 1) // 2] *= 0.5
-        gframes = n * np.fft.irfft(g * spec * inv_mag, n=n, axis=1) * win
-        gx = np.zeros_like(xv)
+        gframes = n * np.fft.irfft(gs * spec * inv_mag, n=n, axis=1) * win
+        gx = np.zeros_like(x.values)
         # frames taken every n//hop apart tile the signal without overlap,
         # so overlap-add reduces to strided flat adds
         stride = n // hop
-        for k in range(min(stride, len(frames))):
-            sub = gframes[k::stride]
+        for k in range(min(stride, len(gframes))):
+            part = gframes[k::stride]
             start = k * hop
-            gx[start: start + sub.size] += sub.ravel()
+            gx[start: start + part.size] += part.ravel()
         return (gx,)
 
-    return _make(mag, "stft_magnitude", (x,), bwd)
+    return _make(value, "spectral_l1", (x,), bwd)
 
 
 def fft_convolve(x, h):
@@ -430,15 +448,16 @@ def fft_convolve(x, h):
         )
     l, m = xv.shape[0], hv.shape[0]
     nfft = _next_fast_len(l + m - 1)
-    out = np.fft.irfft(np.fft.rfft(xv, nfft) * np.fft.rfft(hv, nfft), nfft)[:l]
+    xf, hf = np.fft.rfft(xv, nfft), np.fft.rfft(hv, nfft)
+    out = np.fft.irfft(xf * hf, nfft)[:l]
 
     def bwd(g):
         gpad = np.zeros(nfft)
         gpad[:l] = g
         gf = np.fft.rfft(gpad)
         # correlation = convolution with time-reversed argument
-        gx = np.fft.irfft(gf * np.conj(np.fft.rfft(hv, nfft)), nfft)[:l]
-        gh = np.fft.irfft(gf * np.conj(np.fft.rfft(xv, nfft)), nfft)[:m]
+        gx = np.fft.irfft(gf * np.conj(hf), nfft)[:l]
+        gh = np.fft.irfft(gf * np.conj(xf), nfft)[:m]
         return gx, gh
 
     return _make(out, "fft_convolve", (x, h), bwd)
@@ -573,13 +592,14 @@ def _op_check_cases(seed):
     v = lambda *s: r.standard_normal(s)
     pos = lambda *s: r.random(s) + 0.5
     drop_mask = np.random.default_rng(seed + 1).random(10)
-    # |X| is non-differentiable at 0, so restrict the stft check to bins
-    # whose magnitude at the sample point is safely away from zero
-    stft_x = v(256)
-    stft_mask = stft_magnitude(Tensor(stft_x), 64, 16).values > 0.3
+    # targets sit 0.5 above or below the sample point's spectra, so no L1
+    # kink lies within the finite-difference step
+    l1_x = v(256)
+    l1_mag = stft_magnitude(Tensor(l1_x), 64, 16).values
+    l1_off = np.where(r.random(l1_mag.shape) < 0.5, -0.5, 0.5)
+    l1_lin, l1_log = l1_mag + l1_off, np.log(l1_mag + 1e-6) + l1_off
     cases = {
         "add": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(add(t[0], t[1]))),
-        "sub": ([v(3, 4), v(4)], lambda t: reduce_sum(sub(t[0], t[1]))),
         "mul": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(mul(t[0], t[1]))),
         "div": ([v(3, 4), pos(3, 4)], lambda t: reduce_sum(div(t[0], t[1]))),
         "neg": ([v(5)], lambda t: reduce_sum(neg(t[0]))),
@@ -594,10 +614,9 @@ def _op_check_cases(seed):
             lambda t: reduce_sum(sin(conv1d_dilated(t[0], t[1], dilation=2))),
         ),
         "linear_upsample": ([v(5)], lambda t: reduce_sum(sin(linear_upsample(t[0], 4)))),
-        "stft_magnitude": (
-            [stft_x],
-            lambda t: reduce_sum(mul(stft_magnitude(t[0], 64, 16),
-                                     constant(stft_mask))),
+        "spectral_l1": (
+            [l1_x],
+            lambda t: spectral_l1(t[0], l1_lin, l1_log, 64, 16, 1e-6),
         ),
         "reduce_sum": ([v(3, 4)], lambda t: reduce_sum(sin(reduce_sum(t[0], axis=1)))),
         "dropout": (

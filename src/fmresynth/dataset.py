@@ -1,10 +1,10 @@
 """Corpus ingestion, preprocessing, caching and minibatching.
 
 Pipeline: decode wav -> downmix -> resample to 16 kHz -> strip silence ->
-chop into 4 s clips -> extract features -> filter on mean pitch
-confidence -> split train/valid/test. Clip audio is cached as raw float32
-little-endian with a JSON sidecar; features use the versioned npz
-container; the manifest is JSON.
+chop into 4 s clips -> round to float32 -> extract features -> filter on
+mean pitch confidence -> split train/valid/test. Clip audio is cached as
+raw float32 little-endian with a JSON sidecar; features use the versioned
+npz container; the manifest is JSON.
 
 Also generates synthetic oracle corpora (clips rendered from known
 envelopes) used by the training and evaluation tests.
@@ -159,6 +159,12 @@ def assign_splits(n, seed, fractions=SPLIT_FRACTIONS):
 # ---------------------------------------------------------------------------
 # clip caching
 
+def _as_stored(audio):
+    """audio rounded to the float32 samples the clip cache holds, so the
+    features extracted from it are those of the stored clip."""
+    return np.asarray(audio, dtype="<f4").astype(np.float64)
+
+
 def _save_clip_audio(path, audio):
     np.asarray(audio, dtype="<f4").tofile(path)
     meta = {"sample_rate": SAMPLE_RATE, "samples": int(len(audio)),
@@ -254,6 +260,7 @@ def ingest(directory, instrument, seed, out_dir):
             log.warning("no audio survived silence stripping in %s", wav_path)
             continue
         for i, clip in enumerate(clips):
+            clip = _as_stored(clip)
             track = ft.extract_features(clip)
             mean_conf = float(track.confidence.mean())
             if mean_conf < threshold:
@@ -309,7 +316,7 @@ def synth_corpus(config, n_clips, seed, out_dir,
         f0 = np.repeat(rng.uniform(200.0, 600.0, size=n_segments),
                        int(np.ceil(t / n_segments)))[:t]
         spec = fm.RenderSpec(f0_frames=f0)
-        audio = fm.render(config, env, spec, i_max=i_max).values
+        audio = _as_stored(fm.render(config, env, spec, i_max=i_max).values)
         track = ft.extract_features(audio)
 
         clip_id = f"synthetic_{c:04d}"

@@ -1,8 +1,9 @@
 """Short-time spectral analysis and the multi-scale spectral loss.
 
 The loss sums, over a set of analysis windows, the L1 distance between
-linear and log magnitude spectrograms of target and prediction. Norms are
-element sums, not means, so reported values are comparable across runs.
+linear and log magnitude spectrograms of target and prediction; each
+window is one ``autodiff.spectral_l1`` op. Norms are element sums, not
+means, so reported values are comparable across runs.
 The windows, their 75 % overlap and the log epsilon are those of the DDSP
 multi-scale spectral loss and are fixed.
 """
@@ -62,10 +63,7 @@ def mss_loss(target, prediction):
         )
     total = None
     for window in WINDOWS:
-        s_p = ad.stft_magnitude(prediction, window, HOPS[window])
-        lin = ad.reduce_sum(ad.abs_(ad.sub(target.lin[window], s_p)))
-        log_p = ad.log(ad.add(s_p, ad.constant(LOG_EPSILON)))
-        lg = ad.reduce_sum(ad.abs_(ad.sub(target.log[window], log_p)))
-        term = ad.add(lin, lg)
+        term = ad.spectral_l1(prediction, target.lin[window], target.log[window],
+                              window, HOPS[window], LOG_EPSILON)
         total = term if total is None else ad.add(total, term)
     return total

@@ -160,6 +160,27 @@ class TestOpValues:
         with pytest.raises(AutodiffError, match="divide"):
             ad.stft_magnitude(Tensor(np.zeros(256)), 64, hop)
 
+    def test_stft_magnitude_records_no_tape(self):
+        mag = ad.stft_magnitude(ad.parameter(np.ones(256)), 64, 16)
+        with pytest.raises(AutodiffError, match="detached"):
+            ad.backward(ad.reduce_sum(mag))
+
+    def test_spectral_l1_rejects_short_input(self):
+        with pytest.raises(AutodiffError, match="< window"):
+            ad.spectral_l1(Tensor(np.zeros(63)), np.zeros((1, 33)),
+                           np.zeros((1, 33)), 64, 16, 1e-6)
+
+    @pytest.mark.parametrize("hop", [0, 12, 48])
+    def test_spectral_l1_rejects_hop_not_dividing_window(self, hop):
+        with pytest.raises(AutodiffError, match="divide"):
+            ad.spectral_l1(Tensor(np.zeros(256)), np.zeros((13, 33)),
+                           np.zeros((13, 33)), 64, hop, 1e-6)
+
+    def test_spectral_l1_rejects_misshapen_targets(self):
+        with pytest.raises(AutodiffError, match="target_log shape"):
+            ad.spectral_l1(Tensor(np.zeros(256)), np.zeros((13, 33)),
+                           np.zeros((12, 33)), 64, 16, 1e-6)
+
     def test_fft_convolve_matches_numpy(self):
         rng = np.random.default_rng(3)
         x, h = rng.standard_normal(50), rng.standard_normal(7)

@@ -6,6 +6,7 @@ import pytest
 
 from fmresynth import cli
 from fmresynth import dataset as ds
+from fmresynth import features as ft
 from fmresynth import training as tr
 
 from conftest import packaged_config
@@ -111,6 +112,18 @@ class TestPrepare:
         assert "manifest sha256" in out
         assert run_cli("lint", "--corpus", str(tmp_path / "corpus"),
                        "--out", str(tmp_path)) == 0
+
+    def test_cached_features_are_those_of_the_stored_audio(self, tmp_path):
+        out = tmp_path / "corpus"
+        assert run_cli("prepare", "--synthetic",
+                       "--patch", packaged_config("strings1_2"),
+                       "--nclips", "2", "--seed", "3", "--out", str(out)) == 0
+        for record in ds.load_manifest(out / "manifest.json").records:
+            audio, cached, _env = ds.load_clip(out, record)
+            fresh = ft.extract_features(audio)
+            for field in ("f0_hz", "confidence", "loudness_db"):
+                assert np.array_equal(getattr(fresh, field),
+                                      getattr(cached, field)), field
 
     def test_synthetic_requires_patch(self):
         assert run_cli("prepare", "--synthetic") == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fmresynth import dataset as ds
+from fmresynth import features as ft
 
 
 def tone(freq, seconds, sr=16000, amp=0.8):
@@ -83,6 +84,21 @@ class TestIngest:
             assert track.n_frames == ds.FRAMES_PER_CLIP
             assert env is None
         assert ds.lint_corpus(manifest, out) == []
+
+    def test_ingest_caches_the_features_of_the_stored_clip(self, tmp_path):
+        from scipy.io import wavfile
+        src = tmp_path / "src"
+        src.mkdir()
+        take = tone(330.0, 4.5, sr=44100)
+        wavfile.write(src / "take.wav", 44100, (take * 32767).astype(np.int16))
+        out = tmp_path / "corpus"
+        manifest = ds.ingest(src, "synthetic", seed=0, out_dir=out)
+        for r in manifest.records:
+            audio, track, _env = ds.load_clip(out, r)
+            fresh = ft.extract_features(audio)
+            for field in ("f0_hz", "confidence", "loudness_db"):
+                assert np.array_equal(getattr(fresh, field),
+                                      getattr(track, field)), field
 
     def test_ingest_confidence_filter(self, tmp_path):
         src = tmp_path / "src"

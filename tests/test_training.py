@@ -422,17 +422,19 @@ class TestOpSet:
 
 class TestMatchEnvelopes:
     def test_target_spectrograms_built_once(self, two_osc_config, monkeypatch):
-        calls = []
-        stft = ad.stft_magnitude
+        target_calls, stft_calls = [], []
+        targets, stft = sp.target_spectrograms, ad.stft_magnitude
+        monkeypatch.setattr(sp, "target_spectrograms",
+                            lambda *a: target_calls.append(a) or targets(*a))
         monkeypatch.setattr(ad, "stft_magnitude",
-                            lambda *a: calls.append(a) or stft(*a))
+                            lambda *a: stft_calls.append(a) or stft(*a))
         f0 = np.full(125, 300.0)
         env = piecewise_envelopes(two_osc_config, 125, seed=1)
         target = fm.render(two_osc_config, env, fm.RenderSpec(f0_frames=f0),
                            i_max=2.0).values
-        steps = 3
-        tr.match_envelopes(two_osc_config, target, f0, steps=steps)
-        assert len(calls) == len(sp.WINDOWS) * (steps + 1)
+        tr.match_envelopes(two_osc_config, target, f0, steps=3)
+        assert len(target_calls) == 1
+        assert len(stft_calls) == len(sp.WINDOWS)
 
     def test_loss_decreases_on_short_fit(self, two_osc_config):
         t_frames = 125
