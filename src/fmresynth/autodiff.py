@@ -1,5 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
+Tensors hold float64 values and gradients throughout. The one exception
+is inside ``conv1d_dilated``: its tap products (K forward and 2K backward
+GEMMs for a K-tap kernel) run in float32 and are widened back to
+float64, with the bias added in float64.
+
 The operator set is closed: every op listed in ``OP_KINDS`` has a forward
 implementation, a backward implementation, and a gradient-check entry.
 Graphs are built define-by-run: each produced Tensor keeps references to
@@ -23,6 +28,12 @@ __all__ = [
     "parameter", "backward", "gradient_check", "check_gradients",
     "hann_window",
 ]
+
+
+# dtype of the products inside conv1d_dilated. check_gradients switches it
+# to float64 while it runs: central differences at its step cannot resolve
+# float32 rounding.
+_GEMM_DTYPE = np.float32
 
 
 class AutodiffError(ValueError):
@@ -278,41 +289,51 @@ def concat(tensors, axis=0):
 # ---------------------------------------------------------------------------
 # linear algebra / convolution
 
-def conv1d_dilated(x, w, dilation=1):
-    """Dilated causal 1-D convolution, channels-first.
+def conv1d_dilated(x, w, b, dilation=1):
+    """Dilated causal 1-D convolution plus bias, channels-first.
 
-    x: [C_in, T], w: [C_out, C_in, K]. The output has length T and
-    out[:, t] depends only on x[:, :t+1].
+    x: [C_in, T], w: [C_out, C_in, K], b: [C_out, 1]. The output has
+    length T and out[:, t] depends only on x[:, :t+1]. The tap products
+    run in ``_GEMM_DTYPE`` (float32); the bias is added, and the output
+    and every gradient are returned, in float64.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv = x.values, w.values
     if xv.ndim != 2 or wv.ndim != 3 or wv.shape[1] != xv.shape[0]:
         raise AutodiffError(
             f"conv1d_dilated: incompatible shapes x={xv.shape} w={wv.shape}"
         )
     c_out, c_in, k = wv.shape
+    if b.values.shape != (c_out, 1):
+        raise AutodiffError(
+            f"conv1d_dilated: bias shape {b.values.shape} != {(c_out, 1)}"
+        )
     t = xv.shape[1]
     pad = (k - 1) * dilation
+    dt = _GEMM_DTYPE
     # work in [T, C] layout: row slices stay contiguous, so every product
     # below hits the BLAS fast path without copying
-    xpad_t = np.zeros((t + pad, c_in))
+    xpad_t = np.zeros((t + pad, c_in), dtype=dt)
     xpad_t[pad:] = xv.T
-    w_taps = [np.ascontiguousarray(wv[:, :, tap]) for tap in range(k)]
-    out = np.zeros((c_out, t))
+    w_taps = [wv[:, :, tap].astype(dt) for tap in range(k)]
+    acc = np.zeros((c_out, t), dtype=dt)
     for tap in range(k):
-        out += w_taps[tap] @ xpad_t[tap * dilation: tap * dilation + t].T
+        acc += w_taps[tap] @ xpad_t[tap * dilation: tap * dilation + t].T
+    out = acc.astype(np.float64, copy=False)
+    out += b.values
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
+        g_dt = np.ascontiguousarray(g, dtype=dt)
         gx_t = np.zeros_like(xpad_t)
         gw = np.empty_like(wv)
         for tap in range(k):
             seg = xpad_t[tap * dilation: tap * dilation + t]
-            gw[:, :, tap] = g @ seg
-            gx_t[tap * dilation: tap * dilation + t] += g.T @ w_taps[tap]
-        return gx_t[pad:].T, gw
+            gw[:, :, tap] = g_dt @ seg
+            gx_t[tap * dilation: tap * dilation + t] += g_dt.T @ w_taps[tap]
+        gx = gx_t[pad:].T.astype(np.float64, copy=False)
+        return gx, gw, g.sum(axis=1, keepdims=True)
 
-    return _make(out, "conv1d_dilated", (x, w), bwd)
+    return _make(out, "conv1d_dilated", (x, w, b), bwd)
 
 
 def linear_upsample(x, factor):
@@ -545,10 +566,20 @@ def check_gradients(fn, inputs, step=1e-5):
 
     fn maps a list of Tensors to a scalar Tensor; inputs is a list of
     numpy arrays. Relative error uses max(|analytic|, |FD|, 1e-8) per
-    element.
+    element. Convolution products run in float64 while it runs.
     """
     if not 1e-7 <= step <= 1e-3:
         raise AutodiffError(f"check_gradients: step {step} outside [1e-7, 1e-3]")
+    global _GEMM_DTYPE
+    saved = _GEMM_DTYPE
+    _GEMM_DTYPE = np.float64
+    try:
+        return _check_gradients(fn, inputs, step)
+    finally:
+        _GEMM_DTYPE = saved
+
+
+def _check_gradients(fn, inputs, step):
     tensors = [parameter(np.asarray(v, dtype=np.float64)) for v in inputs]
     out = fn(tensors)
     if not np.all(np.isfinite(out.values)):
@@ -610,8 +641,8 @@ def _op_check_cases(seed):
         "sigmoid": ([v(6)], lambda t: reduce_sum(mul(sigmoid(t[0]), sigmoid(t[0])))),
         "relu": ([_margin(v(8))], lambda t: reduce_sum(mul(relu(t[0]), t[0]))),
         "conv1d_dilated": (
-            [v(1, 8), v(2, 1, 3)],
-            lambda t: reduce_sum(sin(conv1d_dilated(t[0], t[1], dilation=2))),
+            [v(1, 8), v(2, 1, 3), v(2, 1)],
+            lambda t: reduce_sum(sin(conv1d_dilated(t[0], t[1], t[2], dilation=2))),
         ),
         "linear_upsample": ([v(5)], lambda t: reduce_sum(sin(linear_upsample(t[0], 4)))),
         "spectral_l1": (

@@ -80,9 +80,13 @@ def log_spectral_distance(target, prediction):
 def f0_rmse_cents(target, prediction):
     """RMSE in cents over frames where both estimates are confident.
 
-    Returns 0.0 when no frame qualifies.
+    target is raw audio or its FeatureTrack; the f0 of the prediction is
+    estimated here. Returns 0.0 when no frame qualifies.
     """
-    f0_t, conf_t = ft.estimate_f0(target)
+    if isinstance(target, ft.FeatureTrack):
+        f0_t, conf_t = target.f0_hz, target.confidence
+    else:
+        f0_t, conf_t = ft.estimate_f0(target)
     f0_p, conf_p = ft.estimate_f0(prediction)
     mask = (conf_t > F0_CONFIDENCE_FLOOR) & (conf_p > F0_CONFIDENCE_FLOOR) \
         & (f0_t > 0) & (f0_p > 0)
@@ -92,8 +96,12 @@ def f0_rmse_cents(target, prediction):
     return float(np.sqrt(np.mean(cents ** 2)))
 
 
-def compute_metrics(target, prediction):
-    """Per-clip metric dict: mss, lsd_db, f0_rmse_cents."""
+def compute_metrics(target, prediction, target_track=None):
+    """Per-clip metric dict: mss, lsd_db, f0_rmse_cents.
+
+    target_track, when given, is the target's FeatureTrack, so its f0 is
+    not estimated again.
+    """
     target = np.asarray(target, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
     if target.shape != prediction.shape:
@@ -103,7 +111,8 @@ def compute_metrics(target, prediction):
     return {
         "mss": sp.mss_loss(target, prediction).item(),
         "lsd_db": log_spectral_distance(target, prediction),
-        "f0_rmse_cents": f0_rmse_cents(target, prediction),
+        "f0_rmse_cents": f0_rmse_cents(
+            target if target_track is None else target_track, prediction),
     }
 
 
@@ -119,7 +128,7 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
     for record in records:
         audio, track, _env = ds.load_clip(corpus_dir, record)
         pred = _resynthesize(model, audio, track)
-        metrics = compute_metrics(audio, pred)
+        metrics = compute_metrics(audio, pred, track)
         metrics["clip_id"] = record.clip_id
         per_clip.append(metrics)
         if out_dir is not None:

@@ -85,8 +85,7 @@ def _normalized_weight(params, name):
 
 def _conv(params, name, x, dilation):
     w = _normalized_weight(params, name)
-    out = ad.conv1d_dilated(x, w, dilation=dilation)
-    return ad.add(out, params[f"{name}.b"])
+    return ad.conv1d_dilated(x, w, params[f"{name}.b"], dilation=dilation)
 
 
 def decode(spec, params, config, cond, mode="inference", seed=0):

@@ -28,7 +28,7 @@ from . import spectral as sp
 from . import tcn
 
 CHECKPOINT_MAGIC = b"FMRS"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 I_MAX_CHOICES = {"2": 2.0, "2pi": 2.0 * np.pi, "4pi": 4.0 * np.pi}
 
@@ -60,7 +60,14 @@ class RunConfig:
                 raise ValueError(f"RunConfig.{name} must be positive")
 
     def digest(self):
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        """SHA-256 over the settings that shape the weights: every field but
+        corpus_dir, with the patch file's bytes in place of its path, so the
+        same run named from another directory loads its own checkpoints."""
+        payload = asdict(self)
+        del payload["corpus_dir"]
+        payload["patch_path"] = hashlib.sha256(
+            Path(self.patch_path).read_bytes()).hexdigest()
+        blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).digest()
 
     def to_json(self):

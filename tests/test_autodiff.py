@@ -89,10 +89,12 @@ class TestOpValues:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 20))
         w = rng.standard_normal((3, 2, 3))
-        base = ad.conv1d_dilated(Tensor(x), Tensor(w), dilation=2).values
+        b = rng.standard_normal((3, 1))
+        base = ad.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), dilation=2).values
         x2 = x.copy()
         x2[:, 10:] += 5.0
-        bumped = ad.conv1d_dilated(Tensor(x2), Tensor(w), dilation=2).values
+        bumped = ad.conv1d_dilated(Tensor(x2), Tensor(w), Tensor(b),
+                                   dilation=2).values
         assert np.allclose(base[:, :10], bumped[:, :10])
         assert base.shape == (3, 20)
 
@@ -100,11 +102,13 @@ class TestOpValues:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 9))
         w = rng.standard_normal((1, 1, 3))
+        b = rng.standard_normal((1, 1))
         d = 2
-        out = ad.conv1d_dilated(Tensor(x), Tensor(w), dilation=d).values[0]
+        out = ad.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b),
+                                dilation=d).values[0]
         pad = np.concatenate([np.zeros(2 * d), x[0]])
         expected = np.array([
-            sum(w[0, 0, k] * pad[t + k * d] for k in range(3))
+            sum(w[0, 0, k] * pad[t + k * d] for k in range(3)) + b[0, 0]
             for t in range(9)
         ])
         assert np.allclose(out, expected)
@@ -205,3 +209,96 @@ class TestOpValues:
         ad.backward(ad.reduce_sum(ad.mul(joined, joined)))
         assert np.allclose(a.grad, 2 * a.values)
         assert np.allclose(b.grad, 2 * b.values)
+
+
+def _conv_then_add(x, w, b, dilation):
+    """The convolution as two ops, float64 throughout: the tap GEMMs as one
+    op without bias, then ``ad.add`` of the bias."""
+    xv, wv = x.values, w.values
+    c_out, c_in, k = wv.shape
+    t = xv.shape[1]
+    pad = (k - 1) * dilation
+    xpad_t = np.zeros((t + pad, c_in))
+    xpad_t[pad:] = xv.T
+    w_taps = [np.ascontiguousarray(wv[:, :, tap]) for tap in range(k)]
+    out = np.zeros((c_out, t))
+    for tap in range(k):
+        out += w_taps[tap] @ xpad_t[tap * dilation: tap * dilation + t].T
+
+    def bwd(g):
+        g = np.ascontiguousarray(g)
+        gx_t = np.zeros_like(xpad_t)
+        gw = np.empty_like(wv)
+        for tap in range(k):
+            seg = xpad_t[tap * dilation: tap * dilation + t]
+            gw[:, :, tap] = g @ seg
+            gx_t[tap * dilation: tap * dilation + t] += g.T @ w_taps[tap]
+        return gx_t[pad:].T, gw
+
+    return ad.add(ad._make(out, "conv1d_dilated", (x, w), bwd), b)
+
+
+class TestConv1dPrecision:
+    # the decoder's widest layer: 128 channels, 1000 frames, dilation 4
+    C, T, K, D = 128, 1000, 3, 4
+
+    def _inputs(self):
+        rng = np.random.default_rng(8)
+        return (rng.standard_normal((self.C, self.T)),
+                rng.standard_normal((self.C, self.C, self.K)) / np.sqrt(self.C * self.K),
+                rng.standard_normal((self.C, 1)),
+                rng.standard_normal((self.C, self.T)))
+
+    def _run(self, conv, x, w, b, g):
+        """Output and the gradients of x, w, b under upstream gradient g."""
+        leaves = [ad.parameter(a) for a in (x, w, b)]
+        out = conv(*leaves, self.D)
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        return [out.values] + [p.grad for p in leaves]
+
+    def test_float64_setting_equals_conv_then_add_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(ad, "_GEMM_DTYPE", np.float64)
+        x, w, b, g = self._inputs()
+        fused = self._run(ad.conv1d_dilated, x, w, b, g)
+        split = self._run(_conv_then_add, x, w, b, g)
+        for name, f, s in zip(("out", "grad x", "grad w", "grad b"), fused, split):
+            assert f.dtype == np.float64 and np.array_equal(f, s), name
+
+    def test_float32_products_stay_within_the_gemm_error_bound(self, monkeypatch):
+        # A float32 dot product of n terms whose two factors are rounded
+        # to float32 first is off by at most (n + 2) * 2**-24 times the
+        # sum of |factor products|, to first order in 2**-24. Those sums are the same op applied to
+        # |x|, |w| and |g| in float64. n is K * C_in for the output,
+        # K * C_out for grad x and T for grad w; grad b is a float64 sum.
+        x, w, b, g = self._inputs()
+        assert ad._GEMM_DTYPE is np.float32
+        fast = self._run(ad.conv1d_dilated, x, w, b, g)
+        monkeypatch.setattr(ad, "_GEMM_DTYPE", np.float64)
+        exact = self._run(ad.conv1d_dilated, x, w, b, g)
+        mag = self._run(ad.conv1d_dilated, np.abs(x), np.abs(w),
+                        np.zeros_like(b), np.abs(g))
+        u = 2.0 ** -24
+        terms = (self.K * self.C, self.K * self.C, self.T)
+        for name, f, e, m, n in zip(("out", "grad x", "grad w"), fast, exact,
+                                     mag, terms):
+            assert f.dtype == np.float64, name
+            assert np.all(np.abs(f - e) <= (n + 2) * u * m), name
+            assert not np.array_equal(f, e), name  # float32 really ran
+        assert np.array_equal(fast[3], exact[3])
+
+    def test_bias_shape_checked(self):
+        x, w, _b, _g = self._inputs()
+        with pytest.raises(AutodiffError, match="bias shape"):
+            ad.conv1d_dilated(Tensor(x), Tensor(w), Tensor(np.zeros(self.C)))
+
+    def test_check_gradients_restores_the_gemm_dtype_when_fn_raises(self):
+        seen = []
+
+        def fn(t):
+            seen.append(ad._GEMM_DTYPE)
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.check_gradients(fn, [np.ones(2)])
+        assert seen == [np.float64]
+        assert ad._GEMM_DTYPE is np.float32

@@ -3,6 +3,7 @@ import pytest
 
 from fmresynth import dataset as ds
 from fmresynth import evaluation as ev
+from fmresynth import features as ft
 from fmresynth import training as tr
 
 from conftest import packaged_config
@@ -93,6 +94,23 @@ class TestResynthesis:
                                         split="train")
         assert len(report.per_clip) == 2
         assert len(calls) == 1
+
+    def test_target_f0_comes_from_the_feature_cache(self, trained,
+                                                   monkeypatch):
+        run, ckpt, root = trained
+        manifest = ds.load_manifest(root / "corpus" / "manifest.json")
+        audio, track, _env = ds.load_clip(root / "corpus",
+                                          manifest.split_records("train")[0])
+        pred = ev.resynthesize(run, ckpt, audio)
+        assert ev.f0_rmse_cents(track, pred) == ev.f0_rmse_cents(audio, pred)
+        calls = []
+        estimate = ft.estimate_f0
+        monkeypatch.setattr(ft, "estimate_f0",
+                            lambda a: calls.append(a) or estimate(a))
+        report = ev.evaluate_checkpoint(run, ckpt, root / "corpus",
+                                        split="train")
+        # once per clip, on the prediction only
+        assert len(calls) == len(report.per_clip) == 2
 
 
 class TestGrids:

@@ -3,6 +3,7 @@ import json
 import struct
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +192,50 @@ class TestCheckpoints:
         other = replace(tiny_run, seed=99)
         with pytest.raises(ValueError, match="different RunConfig"):
             tr.load_checkpoint(path, other)
+
+    def test_checkpoint_loads_by_another_patch_path_and_moved_corpus(
+            self, tmp_path, tiny_run, monkeypatch):
+        # written with a relative patch path, loaded by the absolute one
+        # from a corpus that has since moved
+        patch = tmp_path / "patch.fm"
+        patch.write_bytes(Path(tiny_run.patch_path).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        written = replace(tiny_run, patch_path="patch.fm")
+        model = tr.Model.build(written)
+        path = tmp_path / "a.ckpt"
+        tr.save_checkpoint(path, written, 1, model.params,
+                           model.reverb_params, tr.AdamState())
+        (tmp_path / "corpus").rename(tmp_path / "moved")
+        moved = replace(tiny_run, patch_path=str(patch),
+                        corpus_dir=str(tmp_path / "moved"))
+        loaded = tr.Model.load(moved, path)
+        for name, p in model.named_params().items():
+            assert np.array_equal(loaded.named_params()[name].values, p.values)
+
+    def test_checkpoint_of_another_patch_is_refused(self, tmp_path, tiny_run):
+        model = tr.Model.build(tiny_run)
+        path = tmp_path / "a.ckpt"
+        tr.save_checkpoint(path, tiny_run, 1, model.params,
+                           model.reverb_params, tr.AdamState())
+        text = Path(tiny_run.patch_path).read_text()
+        assert "osc: ratio=1.0 modulates=1" in text
+        other = tmp_path / "other.fm"
+        other.write_text(text.replace("osc: ratio=1.0 modulates=1",
+                                      "osc: ratio=2.0 modulates=1"))
+        with pytest.raises(ValueError, match="different RunConfig"):
+            tr.Model.load(replace(tiny_run, patch_path=str(other)), path)
+
+    def test_version_2_checkpoint_is_an_unsupported_version(self, tmp_path,
+                                                            tiny_run):
+        model = tr.Model.build(tiny_run)
+        path = tmp_path / "a.ckpt"
+        tr.save_checkpoint(path, tiny_run, 1, model.params,
+                           model.reverb_params, tr.AdamState())
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="version 2 unsupported"):
+            tr.load_checkpoint(path, tiny_run)
 
     @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"},
                                         {"steps": 1.5}, {"seed": True},
