@@ -13,8 +13,12 @@ ones, so drift in the host's speed falls on both sides alike. Then one traced ru
 the root of this checkout holds every run's end-to-end metrics, each
 side's median and quartiles, how many pairs the change won, each side's
 [failed, attempted] operation totals, the traced metrics and the `# machine`
-line of the runs. The script exits 1 when any run fails perfbench's
-checks (`"correct": false`), so such a file cannot pass for a win.
+line of the runs. A run that prints no metrics is kept in its pair entry
+as `<side>_error` with its exit code and the tail of its stderr, and the
+pair is left out of the summary; the other pairs still run. The script
+exits 1 when any run fails perfbench's checks (`"correct": false`) or
+prints no metrics, so such a file cannot pass for a win, and 2 when
+--parent is this checkout.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ def parse_args(argv):
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
-    """One perfbench run in `checkout`: (machine info, result JSON)."""
+    """One perfbench run in `checkout`: (machine info, result JSON), where a
+    run that prints no metrics gives {"error": {"exit", "stderr"}}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -52,11 +57,11 @@ def run_bench(checkout, workload, seed, seconds, trace):
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = {"metrics": {}}
-    if not result["metrics"]:  # no round finished, so nothing to compare
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited with "
-                           f"{proc.returncode} and no metrics:\n"
-                           f"{proc.stderr[-2000:]}")
+        result = {}
+    if not isinstance(result, dict) or not result.get("metrics"):
+        # no round finished, so nothing to compare
+        return machine, {"error": {"exit": proc.returncode,
+                                   "stderr": proc.stderr[-2000:]}}
     return machine, result
 
 
@@ -70,8 +75,12 @@ def quartiles(xs):
 
 
 def summarize(runs, end_to_end):
-    """Per metric: each side's median and quartiles, and the pairs won."""
+    """Per metric: each side's median and quartiles, and the pairs won, over
+    the pairs where both runs printed metrics (none if under two)."""
+    runs = [r for r in runs if "parent" in r and "change" in r]
     out = {}
+    if len(runs) < 2:
+        return out
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [r["parent"][name] for r in runs]
@@ -89,6 +98,9 @@ def summarize(runs, end_to_end):
 def main(argv=None):
     args = parse_args(argv)
     parent = args.parent.resolve()
+    if parent == ROOT:
+        print(f"error: --parent {parent} is this checkout", file=sys.stderr)
+        return 2
     if not (parent / "perfbench" / "run.py").is_file():
         print(f"error: {parent} holds no perfbench/run.py", file=sys.stderr)
         return 2
@@ -98,7 +110,7 @@ def main(argv=None):
     report = {"pr": args.pr, "pairs": PAIRS, "seconds": seconds,
               "seeds": [args.seed + i for i in range(PAIRS)],
               "machine": None, "workloads": {}}
-    incorrect = []
+    incorrect, broken = [], []
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for i in range(PAIRS):
@@ -109,21 +121,33 @@ def main(argv=None):
                 machine, result = run_bench(sides[side], workload, seed,
                                             seconds, trace=0)
                 report["machine"] = report["machine"] or machine
+                if "error" in result:
+                    run[f"{side}_error"] = result["error"]
+                    broken.append(f"{workload} pair {i} {side}")
+                    continue
                 run[side] = values(result)
                 run[f"{side}_failed"] = [result["failed"], result["attempted"]]
                 if not result["correct"]:
                     incorrect.append(f"{workload} pair {i} {side}")
             runs.append(run)
-            print(f"{workload} pair {i} seed {seed}: " + ", ".join(
+            done = "parent" in run and "change" in run
+            print(f"{workload} pair {i} seed {seed}: " + (", ".join(
                 f"{k} {run['parent'][k]:.4g} -> {run['change'][k]:.4g}"
-                for k in run["parent"]), flush=True)
-        traced = {side: values(run_bench(sides[side], workload, args.seed, 0,
-                                         trace=1)[1])
-                  for side in ("parent", "change")}
+                for k in run["parent"]) if done else "a run printed no metrics"),
+                flush=True)
+        traced = {}
+        for side in ("parent", "change"):
+            result = run_bench(sides[side], workload, args.seed, 0, trace=1)[1]
+            if "error" in result:
+                broken.append(f"{workload} traced {side}")
+                traced[side] = result
+            else:
+                traced[side] = values(result)
         report["workloads"][workload] = {
             "summary": summarize(runs, bench["end_to_end"]), "runs": runs,
-            "failed": {side: [sum(r[f"{side}_failed"][i] for r in runs)
-                              for i in (0, 1)] for side in sides},
+            "failed": {side: [sum(r[f"{side}_failed"][i] for r in runs
+                                  if side in r) for i in (0, 1)]
+                       for side in sides},
             "traced": traced}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -131,8 +155,9 @@ def main(argv=None):
     if incorrect:
         print("error: perfbench checks failed in " + ", ".join(incorrect),
               file=sys.stderr)
-        return 1
-    return 0
+    if broken:
+        print("error: no metrics from " + ", ".join(broken), file=sys.stderr)
+    return 1 if incorrect or broken else 0
 
 
 if __name__ == "__main__":

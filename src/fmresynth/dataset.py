@@ -19,6 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import resample_poly
 
 from . import features as ft
@@ -91,7 +92,7 @@ def read_wav(path):
         raise ValueError(f"unsupported wav sample format {data.dtype} in {path}")
     if audio.ndim == 2:
         audio = audio.mean(axis=1)
-    return audio.astype(np.float64), int(rate)
+    return audio.astype(np.float64, copy=False), int(rate)
 
 
 def write_wav(path, audio):
@@ -114,21 +115,25 @@ def resample_to(audio, rate_in):
 
 
 def strip_silence(audio):
-    """Drop hop-sized blocks whose surrounding window RMS is below threshold."""
+    """Drop hop-sized blocks whose surrounding window RMS is below threshold.
+
+    Block b is audio[b * SILENCE_HOP:][:SILENCE_HOP] and its window
+    audio[b * SILENCE_HOP:][:SILENCE_WINDOW]; only the last block's window
+    is cut short by the end of the audio."""
     n_blocks = len(audio) // SILENCE_HOP
     if n_blocks == 0:
         return np.zeros(0)
-    keep = []
     thresh = 10.0 ** (SILENCE_THRESHOLD_DB / 20.0)
-    for b in range(n_blocks):
-        start = b * SILENCE_HOP
-        window = audio[start: start + SILENCE_WINDOW]
-        rms = np.sqrt(np.mean(window ** 2)) if window.size else 0.0
-        if rms >= thresh:
-            keep.append(audio[start: start + SILENCE_HOP])
-    if not keep:
+    sq = np.square(audio)
+    mean_sq = np.empty(n_blocks)
+    if n_blocks > 1:
+        mean_sq[:-1] = sliding_window_view(sq, SILENCE_WINDOW)[
+            ::SILENCE_HOP].mean(axis=1)
+    mean_sq[-1] = np.mean(sq[(n_blocks - 1) * SILENCE_HOP:])
+    keep = np.sqrt(mean_sq) >= thresh
+    if not keep.any():
         return np.zeros(0)
-    return np.concatenate(keep)
+    return audio[:n_blocks * SILENCE_HOP].reshape(n_blocks, SILENCE_HOP)[keep].ravel()
 
 
 def chop_clips(audio):

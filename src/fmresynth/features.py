@@ -2,10 +2,12 @@
 
 The pitch estimator is a deterministic YIN variant (cumulative mean
 normalized difference with parabolic interpolation); confidence is derived
-from the CMNDF minimum. It runs on all frames at once: the difference
-function comes from one FFT correlation whose size only has to cover the
-W + tau_max samples of a frame (nfft >= 1424, so 1440), and the dip search
-is array code over frames. Loudness applies the analytic A-weighting curve to
+from the CMNDF minimum. It runs on all frames at once: the window of W =
+16 hops splits into hop-sized blocks that neighbouring frames share, so each
+block is correlated once (one 480-point FFT covers its HOP + tau_max
+samples) and a frame's correlation is the sum of its 16 blocks; the window
+energies are sliding sums over the whole clip, and the dip search is array
+code over frames. Loudness applies the analytic A-weighting curve to
 Hann-windowed power spectra and is normalized so a full-scale 1 kHz sine
 reads close to 0 dB.
 
@@ -78,6 +80,17 @@ def _centered_frames(audio, window):
     return sliding_window_view(padded, window)[:n_frames * HOP:HOP]
 
 
+def _window_sum(x, n):
+    """Sums of n consecutive entries along axis 0: out[i] = x[i : i + n].sum(0)
+    for a power-of-two n, by a fixed pairwise tree of shifted adds (shifts
+    1, 2, 4, ...). A running sum would cancel catastrophically."""
+    width = 1
+    while width < n:
+        x = x[:-width] + x[width:]
+        width *= 2
+    return x
+
+
 def estimate_f0(audio):
     """Per-frame (f0_hz, confidence) via YIN.
 
@@ -90,24 +103,30 @@ def estimate_f0(audio):
     tau_max = int(SAMPLE_RATE / F0_MIN)            # 400
     tau_min = max(2, int(SAMPLE_RATE / F0_MAX))    # 8
     w = YIN_WINDOW
-    seg_len = w + tau_max
-    frames = _centered_frames(audio, seg_len)  # [T, W + tau_max]
-    n_frames = frames.shape[0]
+    n_frames = len(audio) // HOP
+    n_sub, rem = divmod(w, HOP)                    # 16 blocks per window
+    assert rem == 0 and not (w & (w - 1) or n_sub & (n_sub - 1)), \
+        "the window must be a power of two, in samples and in hops"
 
-    # difference function d(tau) = r0 + r_tau - 2 * xcorr(tau), vectorized
-    # over frames. xcorr needs lags 0..tau_max of the W-sample head against
-    # the whole frame; a circular correlation over nfft >= W + tau_max
-    # samples does not wrap at those lags, so no power of two is needed.
+    # difference function d(tau) = e0 + e_tau - 2 * xcorr(tau). Frame t
+    # starts at padded[t * HOP], so its window splits into 16 hop-sized
+    # blocks shared with the neighbouring frames: block s correlates its
+    # HOP samples with the HOP + tau_max samples that start at it, and
+    # frame t sums blocks t .. t + 15. A circular correlation over
+    # nfft >= HOP + tau_max does not wrap at lags 0..tau_max, so 480.
+    seg_len = HOP + tau_max
+    padded = np.pad(audio, ((w + tau_max) // 2, w + tau_max))
+    blocks = sliding_window_view(padded, seg_len)[
+        :(n_frames + n_sub - 1) * HOP:HOP]        # [T + 15, HOP + tau_max]
     nfft = ad._next_fast_len(seg_len)
-    spec = np.fft.rfft(frames, nfft, axis=1)
-    # energy of x[tau : tau + W] via cumulative sums
-    sq = np.empty((n_frames, seg_len + 1))
-    sq[:, 0] = 0.0
-    np.cumsum(frames ** 2, axis=1, out=sq[:, 1:])
-    e0 = sq[:, w]
-    e_tau = sq[:, w:w + tau_max + 1] - sq[:, :tau_max + 1]
-    spec_head = np.fft.rfft(frames[:, :w], nfft, axis=1)
+    spec = np.fft.rfft(blocks, nfft, axis=1)
+    spec_head = np.fft.rfft(blocks[:, :HOP], nfft, axis=1)
     xcorr = np.fft.irfft(np.conj(spec_head) * spec, nfft, axis=1)[:, :tau_max + 1]
+    xcorr = _window_sum(xcorr, n_sub)
+    # energy of x[tau : tau + W]: energy[i] sums padded[i : i + W] ** 2
+    energy = _window_sum(padded ** 2, w)
+    e_tau = sliding_window_view(energy, tau_max + 1)[:n_frames * HOP:HOP]
+    e0 = e_tau[:, 0]
     diff = e0[:, None] + e_tau - 2.0 * xcorr
     diff = np.maximum(diff, 0.0)
 
@@ -142,7 +161,7 @@ def estimate_f0(audio):
         hz = SAMPLE_RATE / (tau + shift)
     strength = 1.0 - b
     strength = np.where(strength > 0.0, strength, 0.0)
-    rms = np.sqrt(np.mean(frames[:, :w] ** 2, axis=1))
+    rms = np.sqrt(e0 / w)
     voiced = ~(rms < 1e-6) & (F0_MIN <= hz) & (hz <= F0_MAX)
     return np.where(voiced, hz, 0.0), np.where(voiced, strength ** 2, 0.0)
 

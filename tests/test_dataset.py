@@ -49,6 +49,28 @@ class TestPreprocess:
     def test_strip_silence_all_quiet(self):
         assert len(ds.strip_silence(np.zeros(8000))) == 0
 
+    @pytest.mark.parametrize("n", [511, 512, 1000, 1024, 1535, 1536, 40000, 40300])
+    def test_strip_silence_keeps_what_the_block_loop_keeps(self, n):
+        # a tone that fades in, then out to just above the threshold, with
+        # a gap and noise near the threshold; the reference is the plain
+        # loop over blocks, with the last window cut short by the end
+        rng = np.random.default_rng(n)
+        x = np.sin(2 * np.pi * 440.0 * np.arange(n) / 16000) * np.interp(
+            np.arange(n), [0, n // 2, n - 1], [0.004, 0.02, 0.009])
+        x[n // 3: n // 2] = rng.normal(0.0, 0.005, n // 2 - n // 3)
+        x[n // 2: n // 2 + n // 8] = 0.0
+        thresh = 10.0 ** (ds.SILENCE_THRESHOLD_DB / 20.0)
+        keep = []
+        for start in range(0, len(x) // ds.SILENCE_HOP * ds.SILENCE_HOP,
+                           ds.SILENCE_HOP):
+            window = x[start: start + ds.SILENCE_WINDOW]
+            if np.sqrt(np.mean(window ** 2)) >= thresh:
+                keep.append(x[start: start + ds.SILENCE_HOP])
+        expected = np.concatenate(keep) if keep else np.zeros(0)
+        stripped = ds.strip_silence(x)
+        assert stripped.dtype == np.float64
+        assert np.array_equal(stripped, expected)
+
     def test_chop_drops_remainder(self):
         clips = ds.chop_clips(np.zeros(ds.CLIP_SAMPLES * 2 + 100))
         assert len(clips) == 2

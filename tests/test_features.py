@@ -155,6 +155,29 @@ class TestPitchReference:
         f0, _lags, _fallback = assert_matches_reference(audio)
         assert len(f0) == 50 and f0[0] > 0 and f0[-1] > 0
 
+    # The difference function sums 16 hop-sized blocks per frame; block s
+    # starts at audio sample s * HOP - BLOCK_OFFSET, BLOCK_OFFSET being the
+    # (W + tau_max) // 2 samples of left padding.
+    BLOCK_OFFSET = (ft.YIN_WINDOW + int(ft.SAMPLE_RATE / ft.F0_MIN)) // 2
+
+    @pytest.mark.parametrize("n_frames", [1, 15, 16, 17])
+    def test_clips_of_about_one_window_of_hops(self, n_frames):
+        audio = vibrato(1.0, np.random.default_rng(7))[:n_frames * ft.HOP]
+        f0, _lags, _fallback = assert_matches_reference(audio)
+        assert len(f0) == n_frames and np.all(f0 > 0)
+
+    def test_remainder_past_the_last_hop(self):
+        audio = vibrato(1.0, np.random.default_rng(8))[:ft.HOP * 50 + 37]
+        f0, _lags, _fallback = assert_matches_reference(audio)
+        assert len(f0) == 50
+
+    def test_dropout_starting_inside_a_block(self):
+        audio = vibrato(0.6, np.random.default_rng(9))
+        start = 47 * ft.HOP - self.BLOCK_OFFSET + ft.HOP // 2
+        audio[start:start + int(0.075 * 16000)] = 0.0
+        f0, _lags, _fallback = assert_matches_reference(audio)
+        assert np.any(f0 == 0.0) and np.any(f0 > 0.0)
+
     @pytest.mark.parametrize("n", [1, 63])
     def test_shorter_than_one_hop_gives_empty_tracks(self, n):
         f0, conf = ft.estimate_f0(np.full(n, 0.5))
