@@ -14,8 +14,8 @@ from .features import (ConditioningSeq, FeatureTrack, a_weighted_loudness,
                        estimate_f0, extract_features, normalize)
 from .fmsynth import (ConfigError, FmConfig, Oscillator, RenderSpec,
                       bessel_j, load_config, parse_config, render,
-                      save_config, serialize_config, sideband_spectrum)
-from .reverb import ReverbParams, apply_reverb, init_reverb
+                      serialize_config, sideband_spectrum)
+from .reverb import apply_reverb, init_reverb
 from .spectral import mss_loss
 from .tcn import TcnSpec, decode, init_weights, parameter_count, receptive_field
 from .training import (AdamState, RunConfig, adam_step, clip_gradients,
@@ -32,9 +32,9 @@ __all__ = [
     "ConditioningSeq", "FeatureTrack", "a_weighted_loudness", "estimate_f0",
     "extract_features", "normalize",
     "ConfigError", "FmConfig", "Oscillator", "RenderSpec",
-    "bessel_j", "load_config", "parse_config", "render", "save_config",
+    "bessel_j", "load_config", "parse_config", "render",
     "serialize_config", "sideband_spectrum",
-    "ReverbParams", "apply_reverb", "init_reverb",
+    "apply_reverb", "init_reverb",
     "mss_loss",
     "TcnSpec", "decode", "init_weights", "parameter_count", "receptive_field",
     "AdamState", "RunConfig", "adam_step", "clip_gradients",

@@ -7,6 +7,8 @@ float64, with the bias added in float64.
 
 The operator set is closed: every op listed in ``OP_KINDS`` has a forward
 implementation, a backward implementation, and a gradient-check entry.
+Ops are plain functions (``add(a, b)``, ``slice_(x, key)``, ...); Tensor
+defines no arithmetic or indexing operators.
 Graphs are built define-by-run: each produced Tensor keeps references to
 its parents and a closure that maps the incoming gradient to parent
 gradients. A graph is intended to be built, back-propagated once, and
@@ -23,7 +25,7 @@ __all__ = [
     "OP_KINDS",
     "add", "mul", "div", "neg", "sin", "exp", "log", "abs_",
     "sigmoid", "relu", "conv1d_dilated", "linear_upsample", "stft_magnitude",
-    "spectral_l1", "reduce_sum", "dropout", "slice_", "concat", "fft_convolve",
+    "spectral_l1", "reduce_sum", "dropout", "slice_", "fft_convolve",
     "constant",
     "parameter", "backward", "gradient_check", "check_gradients",
     "hann_window",
@@ -60,51 +62,15 @@ class Tensor:
         self._needs_grad = self.requires_grad
         self._backward_done = False
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self):
         return float(self.values)
 
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         op = f", op={self._op}" if self._op else ""
         return f"Tensor(shape={self.values.shape}{op})"
-
-    # operator sugar (thin wrappers over the closed op set)
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
 
 def constant(values):
@@ -267,23 +233,6 @@ def slice_(x, key):
         return (out,)
 
     return _make(xv[key], "slice", (x,), bwd)
-
-
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise AutodiffError("concat: empty input list")
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return _make(np.concatenate([t.values for t in tensors], axis=axis),
-                 "concat", tuple(tensors), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +557,6 @@ def _check_gradients(fn, inputs, step):
     return worst
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _margin(x, m=0.05):
     """Push entries of x away from 0 by margin m (for kinked ops)."""
     return np.where(np.abs(x) < m, np.sign(x) * m + (x == 0) * m, x)
@@ -619,7 +564,7 @@ def _margin(x, m=0.05):
 
 def _op_check_cases(seed):
     """One gradient-check case per op kind: (inputs, fn)."""
-    r = _rng(seed)
+    r = np.random.default_rng(seed)
     v = lambda *s: r.standard_normal(s)
     pos = lambda *s: r.random(s) + 0.5
     drop_mask = np.random.default_rng(seed + 1).random(10)
@@ -655,7 +600,6 @@ def _op_check_cases(seed):
             lambda t: reduce_sum(_fixed_mask_dropout(t[0], drop_mask, 0.5)),
         ),
         "slice": ([v(4, 6)], lambda t: reduce_sum(sin(slice_(t[0], (slice(1, 3), slice(None, None, 2)))))),
-        "concat": ([v(3), v(4)], lambda t: reduce_sum(sin(concat([t[0], t[1]])))),
         "fft_convolve": ([v(12), v(5)], lambda t: reduce_sum(sin(fft_convolve(t[0], t[1])))),
     }
     return cases

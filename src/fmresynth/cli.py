@@ -122,6 +122,8 @@ def _cmd_prepare(args):
     if args.synthetic:
         if not args.patch:
             raise UsageError("--synthetic requires --patch")
+        if args.nclips < 1:
+            raise UsageError(f"--nclips must be at least 1, got {args.nclips}")
         config = fm.load_config(args.patch)
         manifest = ds.synth_corpus(config, args.nclips, args.seed, out)
     else:
@@ -141,7 +143,14 @@ def _cmd_prepare(args):
 def _cmd_render(args):
     config = fm.load_config(args.patch)
     if _is_number(args.f0):
-        t_frames = int(round(args.seconds * ds.SAMPLE_RATE / ds.HOP))
+        # chained comparisons are False for NaN
+        if not 0 <= float(args.f0) < np.inf:
+            raise UsageError(f"--f0 must be finite and non-negative, got {args.f0}")
+        frames = args.seconds * ds.SAMPLE_RATE / ds.HOP
+        if not 0.5 < frames < np.inf:  # round(0.5) is 0
+            raise UsageError(f"--seconds must be finite and give at least one "
+                             f"{ds.HOP}-sample frame, got {args.seconds}")
+        t_frames = int(round(frames))
         f0 = np.full(t_frames, float(args.f0))
     else:
         with np.load(args.f0) as data:
@@ -177,8 +186,11 @@ def _is_number(text):
 
 
 def _cmd_analyze(args):
-    if args.modindex < 0:
-        raise UsageError("--modindex must be non-negative")
+    if not 0 <= args.modindex < np.inf:
+        raise UsageError(f"--modindex must be finite and non-negative, "
+                         f"got {args.modindex}")
+    if args.nmax < 0:
+        raise UsageError(f"--nmax must be non-negative, got {args.nmax}")
     amps = fm.sideband_spectrum(args.modindex, args.nmax)
     rows = []
     for n in range(-args.nmax, args.nmax + 1):

@@ -99,7 +99,9 @@ def write_wav(path, audio):
     """Write mono 16-bit PCM at SAMPLE_RATE."""
     clipped = np.clip(np.asarray(audio), -1.0, 1.0)
     pcm = (clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    # open the file first: wave.open(path) on a missing directory leaves a
+    # half-built Wave_write whose __del__ prints a stray traceback
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(SAMPLE_RATE)
@@ -188,21 +190,8 @@ def load_clip_audio(path):
 
 
 def save_manifest(manifest, path):
-    payload = {
-        "version": manifest.version,
-        "instrument": manifest.instrument,
-        "seed": manifest.seed,
-        "split_fractions": list(manifest.split_fractions),
-        "silence_threshold_db": manifest.silence_threshold_db,
-        "confidence_threshold": manifest.confidence_threshold,
-        "config_name": manifest.config_name,
-        "records": [asdict(r) for r in manifest.records],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-_MANIFEST_KEYS = {"version", "instrument", "seed", "split_fractions",
-                  "silence_threshold_db", "confidence_threshold", "records"}
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n")
 
 
 def _check_keys(path, what, entry, required, optional=()):
@@ -219,7 +208,9 @@ def _check_keys(path, what, entry, required, optional=()):
 
 def load_manifest(path):
     payload = json.loads(Path(path).read_text())
-    _check_keys(path, "manifest", payload, _MANIFEST_KEYS, ("config_name",))
+    manifest_keys = [f.name for f in fields(CorpusManifest)]
+    _check_keys(path, "manifest", payload,
+                set(manifest_keys) - {"config_name"}, manifest_keys)
     if payload["version"] != MANIFEST_VERSION:
         raise ValueError(f"{path}: manifest version {payload['version']} "
                          f"!= {MANIFEST_VERSION}")
@@ -230,15 +221,11 @@ def load_manifest(path):
         _check_keys(path, f"record {i}", r,
                     [f.name for f in record_fields if f.default is MISSING],
                     [f.name for f in record_fields])
-    return CorpusManifest(
-        instrument=payload["instrument"],
-        seed=payload["seed"],
-        records=[ClipRecord(**r) for r in payload["records"]],
-        split_fractions=tuple(payload["split_fractions"]),
-        silence_threshold_db=payload["silence_threshold_db"],
-        confidence_threshold=payload["confidence_threshold"],
-        config_name=payload.get("config_name", ""),
-    )
+    return CorpusManifest(**{
+        **payload,
+        "records": [ClipRecord(**r) for r in payload["records"]],
+        "split_fractions": tuple(payload["split_fractions"]),
+    })
 
 
 # ---------------------------------------------------------------------------

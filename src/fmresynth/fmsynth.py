@@ -122,8 +122,9 @@ class RenderSpec:
 
     def __post_init__(self):
         f0 = np.asarray(self.f0_frames, dtype=np.float64)
-        if np.any(f0 < 0):
-            raise ValueError("f0 frames must be non-negative (0 = unvoiced)")
+        if not np.all(np.isfinite(f0)) or np.any(f0 < 0):
+            raise ValueError("f0 frames must be finite and non-negative "
+                             "(0 = unvoiced)")
         object.__setattr__(self, "f0_frames", f0)
 
 
@@ -208,11 +209,6 @@ def serialize_config(config):
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(config))
 
 
 # ---------------------------------------------------------------------------

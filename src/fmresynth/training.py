@@ -122,7 +122,10 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's defaults
+
+
+def adam_step(params, grads, state, lr):
     """Standard bias-corrected Adam update, in place on params."""
     state.t += 1
     t = state.t
@@ -135,13 +138,13 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             m = np.zeros_like(p.values)
             state.v[name] = np.zeros_like(p.values)
         v = state.v[name]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - _BETA1 ** t)
+        v_hat = v / (1.0 - _BETA2 ** t)
+        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def save_checkpoint(path, run, step, params, reverb_params, adam):
     blobs = {}
-    for name, p in {**params, **rv.reverb_param_dict(reverb_params)}.items():
+    for name, p in {**params, **reverb_params}.items():
         blobs[f"param/{name}"] = np.atleast_1d(np.asarray(p.values, dtype=np.float64))
     for name, m in adam.m.items():
         blobs[f"adam_m/{name}"] = np.atleast_1d(m)
@@ -248,7 +251,7 @@ class Model:
     config: fm.FmConfig
     spec: tcn.TcnSpec
     params: dict
-    reverb_params: rv.ReverbParams
+    reverb_params: dict
 
     @classmethod
     def build(cls, run):
@@ -265,7 +268,7 @@ class Model:
 
     def named_params(self):
         """Decoder and reverb parameter tensors by checkpoint name."""
-        return {**self.params, **rv.reverb_param_dict(self.reverb_params)}
+        return {**self.params, **self.reverb_params}
 
     def restore(self, run, checkpoint_path, adam=None):
         """Load weights, and the optimizer state into ``adam`` when given,
@@ -300,9 +303,8 @@ class Model:
         params, reverb_params = self.params, self.reverb_params
         if mode == "inference":
             params = {k: ad.constant(p.values) for k, p in params.items()}
-            reverb_params = rv.ReverbParams(**{
-                f.name: ad.constant(getattr(reverb_params, f.name).values)
-                for f in fields(reverb_params)})
+            reverb_params = {k: ad.constant(p.values)
+                             for k, p in reverb_params.items()}
         cond = ft.normalize(track)
         env = tcn.decode(self.spec, params, self.config, cond.frames,
                          mode=mode, seed=seed)
@@ -320,7 +322,7 @@ def _validation_loss(model, clips):
     return total / len(clips)
 
 
-def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
+def train(run, out_dir, resume_from=None):
     """Run the optimization; returns the final checkpoint path.
 
     Writes checkpoints and an append-only CSV loss log (columns: step, lr,
@@ -349,7 +351,7 @@ def train(run, out_dir, resume_from=None, log_name="loss_log.csv"):
     valid_clips = [cache[r.clip_id] for r in valid_records]
 
     batches_per_epoch = max(1, int(np.ceil(len(train_records) / run.batch)))
-    log_path = out_dir / log_name
+    log_path = out_dir / "loss_log.csv"
     mode = "a" if start_step > 0 and log_path.exists() else "w"
     last_ckpt = None
     with open(log_path, mode) as logfh:

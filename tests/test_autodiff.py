@@ -202,14 +202,6 @@ class TestOpValues:
         with pytest.raises(AutodiffError):
             ad.log(Tensor(np.array([1.0, 0.0])))
 
-    def test_concat_and_slice_roundtrip(self):
-        a = ad.parameter(np.arange(3.0))
-        b = ad.parameter(np.arange(4.0))
-        joined = ad.concat([a, b])
-        ad.backward(ad.reduce_sum(ad.mul(joined, joined)))
-        assert np.allclose(a.grad, 2 * a.values)
-        assert np.allclose(b.grad, 2 * b.values)
-
 
 def _conv_then_add(x, w, b, dilation):
     """The convolution as two ops, float64 throughout: the tap GEMMs as one

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,47 @@ class TestExitCodes:
     def test_bad_corpus_is_runtime_error(self, tmp_path):
         assert run_cli("lint", "--corpus", str(tmp_path),
                        "--out", str(tmp_path)) == 2
+
+
+    def test_wav_into_missing_directory_prints_one_error_line(self, tmp_path):
+        # wave.open on a path it cannot create used to leave a half-built
+        # writer whose __del__ printed a traceback after the error line
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmresynth.cli", "render",
+             "--patch", packaged_config("flute1"),
+             "--out", str(tmp_path / "missing" / "x.wav")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+class TestBadNumbersAreUsageErrors:
+    @pytest.mark.parametrize("flag, argv", [
+        ("--f0", ("render", "--patch", "flute1", "--f0", "nan")),
+        ("--f0", ("render", "--patch", "flute1", "--f0", "inf")),
+        ("--f0", ("render", "--patch", "flute1", "--f0", "-440")),
+        ("--seconds", ("render", "--patch", "flute1", "--seconds", "0")),
+        ("--seconds", ("render", "--patch", "flute1", "--seconds", "-1")),
+        ("--seconds", ("render", "--patch", "flute1", "--seconds", "nan")),
+        ("--modindex", ("analyze", "--modindex", "nan")),
+        ("--modindex", ("analyze", "--modindex", "inf")),
+        ("--nmax", ("analyze", "--modindex", "1", "--nmax", "-1")),
+        ("--nclips", ("prepare", "--synthetic", "--patch", "strings1_2",
+                      "--nclips", "0")),
+        ("--nclips", ("prepare", "--synthetic", "--patch", "strings1_2",
+                      "--nclips", "-2")),
+    ])
+    def test_exits_1_naming_the_flag(self, flag, argv, tmp_path, capsys):
+        argv = [packaged_config(a) if prev == "--patch" else a
+                for prev, a in zip(("",) + argv, argv)]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err, err
+        assert not out.exists()
 
 
 class TestAnalyze:

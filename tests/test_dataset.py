@@ -5,6 +5,47 @@ from fmresynth import dataset as ds
 from fmresynth import features as ft
 
 
+# manifest.json of synth_corpus(strings1_2, 2 clips, seed=3), with the two
+# mean confidences as CONF0 and CONF1
+MANIFEST_2_CLIPS = """\
+{
+  "confidence_threshold": 0.0,
+  "config_name": "strings1_2",
+  "instrument": "synthetic",
+  "records": [
+    {
+      "audio_path": "synthetic_0000.f32",
+      "clip_id": "synthetic_0000",
+      "envelopes_path": "synthetic_0000.envelopes.npz",
+      "features_path": "synthetic_0000.features.npz",
+      "instrument": "synthetic",
+      "mean_confidence": CONF0,
+      "source_file": "<synthetic>",
+      "split": "test"
+    },
+    {
+      "audio_path": "synthetic_0001.f32",
+      "clip_id": "synthetic_0001",
+      "envelopes_path": "synthetic_0001.envelopes.npz",
+      "features_path": "synthetic_0001.features.npz",
+      "instrument": "synthetic",
+      "mean_confidence": CONF1,
+      "source_file": "<synthetic>",
+      "split": "train"
+    }
+  ],
+  "seed": 3,
+  "silence_threshold_db": -45.0,
+  "split_fractions": [
+    0.75,
+    0.125,
+    0.125
+  ],
+  "version": 1
+}
+"""
+
+
 def tone(freq, seconds, sr=16000, amp=0.8):
     t = np.arange(int(seconds * sr)) / sr
     return amp * np.sin(2 * np.pi * freq * t)
@@ -161,6 +202,17 @@ class TestManifestAndBatches:
         manifest = ds.synth_corpus(two_osc_config, 3, seed=0, out_dir=tmp_path)
         loaded = ds.load_manifest(tmp_path / "manifest.json")
         assert loaded == manifest
+
+    def test_manifest_bytes_are_pinned(self, tmp_path, two_osc_config):
+        manifest = ds.synth_corpus(two_osc_config, 2, seed=3, out_dir=tmp_path)
+        conf = [r.mean_confidence for r in manifest.records]
+        # YIN may move the confidences in their last digits; every other
+        # byte of the on-disk format is fixed
+        assert conf == pytest.approx([0.9846932522196251, 0.9857423854431915],
+                                     rel=1e-9)
+        expected = MANIFEST_2_CLIPS.replace("CONF0", repr(conf[0]))
+        expected = expected.replace("CONF1", repr(conf[1]))
+        assert (tmp_path / "manifest.json").read_text() == expected
 
     def test_minibatch_deterministic_and_complete(self, tmp_path,
                                                   two_osc_config):

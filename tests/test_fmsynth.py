@@ -148,6 +148,13 @@ class TestRender:
         with pytest.raises(ValueError, match="I_max"):
             fm.render(two_osc_config, env, spec, i_max=2.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_f0_must_be_finite_and_non_negative(self, bad):
+        f0 = np.full(10, 220.0)
+        f0[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fm.RenderSpec(f0_frames=f0)
+
     def test_negative_envelope_rejected(self, two_osc_config):
         env = np.full((10, 2), -0.1)
         spec = fm.RenderSpec(f0_frames=np.full(10, 220.0))
