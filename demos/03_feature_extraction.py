@@ -39,5 +39,5 @@ print()
 print("conditioning channels (pitch = midi/127, loudness mapped to [0, 1]):")
 mid = track.n_frames // 2
 for i in (0, mid, track.n_frames - 1):
-    print(f"  frame {i:>4}: pitch {cond.frames[i, 0]:.3f}, "
-          f"loudness {cond.frames[i, 1]:.3f}")
+    print(f"  frame {i:>4}: pitch {cond[i, 0]:.3f}, "
+          f"loudness {cond[i, 1]:.3f}")

@@ -32,7 +32,8 @@ print("2. training (short demo schedule; real runs use tens of thousands "
 run = tr.RunConfig(corpus_dir=str(root / "corpus"), patch_path=patch,
                    steps=60, batch=2, checkpoint_every=30, seed=0)
 ckpt = tr.train(run, root / "train")
-rows = list(csv.DictReader(open(root / "train" / "loss_log.csv")))
+rows = list(csv.DictReader(
+    (root / "train" / "loss_log.csv").read_text().splitlines()))
 first, last = float(rows[0]["train_loss"]), float(rows[-1]["train_loss"])
 print(f"   loss {first:.0f} -> {last:.0f} "
       f"({last / first:.2f}x) over {len(rows)} steps")

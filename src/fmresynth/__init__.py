@@ -10,8 +10,8 @@ from .autodiff import Tensor, backward, check_gradients, gradient_check
 from .dataset import CorpusManifest, ingest, synth_corpus, load_manifest
 from .evaluation import (compute_metrics, evaluate_checkpoint,
                          log_spectral_distance, f0_rmse_cents, resynthesize)
-from .features import (ConditioningSeq, FeatureTrack, a_weighted_loudness,
-                       estimate_f0, extract_features, normalize)
+from .features import (FeatureTrack, a_weighted_loudness, estimate_f0,
+                       extract_features, normalize)
 from .fmsynth import (ConfigError, FmConfig, Oscillator, RenderSpec,
                       bessel_j, load_config, parse_config, render,
                       serialize_config, sideband_spectrum)
@@ -29,8 +29,8 @@ __all__ = [
     "CorpusManifest", "ingest", "synth_corpus", "load_manifest",
     "compute_metrics", "evaluate_checkpoint", "log_spectral_distance",
     "f0_rmse_cents", "resynthesize",
-    "ConditioningSeq", "FeatureTrack", "a_weighted_loudness", "estimate_f0",
-    "extract_features", "normalize",
+    "FeatureTrack", "a_weighted_loudness", "estimate_f0", "extract_features",
+    "normalize",
     "ConfigError", "FmConfig", "Oscillator", "RenderSpec",
     "bessel_j", "load_config", "parse_config", "render",
     "serialize_config", "sideband_spectrum",

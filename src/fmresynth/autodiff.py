@@ -447,10 +447,7 @@ def dropout(x, p, rng):
     x = _as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise AutodiffError(f"dropout: p={p} outside [0, 1)")
-    if p == 0.0:
-        mask = np.ones_like(x.values)
-    else:
-        mask = (rng.random(x.values.shape) >= p) / (1.0 - p)
+    mask = (rng.random(x.values.shape) >= p) / (1.0 - p)
     return _make(x.values * mask, "dropout", (x,), lambda g: (g * mask,))
 
 

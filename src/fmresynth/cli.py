@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,32 +214,24 @@ def _cmd_analyze(args):
     return 0
 
 
+# train flag (argparse dest) -> the RunConfig field it overrides
+_RUN_OVERRIDES = {
+    "corpus": "corpus_dir", "patch": "patch_path", "steps": "steps",
+    "batch": "batch", "checkpoint_every": "checkpoint_every",
+    "hidden": "hidden_channels", "blocks": "blocks", "seed": "seed",
+}
+
+
 def _load_run(args):
     if not args.config:
         raise UsageError("train requires --config with a RunConfig JSON")
     run = tr.RunConfig.from_json(Path(args.config).read_text())
-    overrides = {}
-    if args.corpus:
-        overrides["corpus_dir"] = args.corpus
-    if args.patch:
-        overrides["patch_path"] = args.patch
+    overrides = {field: getattr(args, flag)
+                 for flag, field in _RUN_OVERRIDES.items()
+                 if getattr(args, flag) is not None}
     if args.imax:
         overrides["i_max"] = tr.I_MAX_CHOICES[args.imax]
-    for field in ("steps", "batch"):
-        if getattr(args, field) is not None:
-            overrides[field] = getattr(args, field)
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if args.hidden is not None:
-        overrides["hidden_channels"] = args.hidden
-    if args.blocks is not None:
-        overrides["blocks"] = args.blocks
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        run = replace(run, **overrides)
-    return run
+    return replace(run, **overrides)
 
 
 def _cmd_train(args):

@@ -40,20 +40,6 @@ LOUDNESS_FLOOR_DB = -80.0
 
 
 @dataclass(frozen=True)
-class ConditioningSeq:
-    """Normalized [T, 2] decoder input: pitch channel, loudness channel."""
-    frames: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.frames, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"conditioning must be [T, 2], got {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("conditioning values outside [0, 1]")
-        object.__setattr__(self, "frames", arr)
-
-
-@dataclass(frozen=True)
 class FeatureTrack:
     f0_hz: np.ndarray
     confidence: np.ndarray
@@ -222,7 +208,7 @@ def hz_to_midi(f0):
 
 
 def normalize(track):
-    """FeatureTrack -> ConditioningSeq in [0, 1].
+    """FeatureTrack -> [T, 2] decoder input in [0, 1].
 
     Pitch channel: midi/127 with f0=0 mapping to 0. Loudness channel:
     (db + 80) / 80.
@@ -230,7 +216,7 @@ def normalize(track):
     pitch = np.clip(hz_to_midi(track.f0_hz) / 127.0, 0.0, 1.0)
     loud = np.clip((track.loudness_db - LOUDNESS_FLOOR_DB) / -LOUDNESS_FLOOR_DB,
                    0.0, 1.0)
-    return ConditioningSeq(np.stack([pitch, loud], axis=1))
+    return np.stack([pitch, loud], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 
 IN_CHANNELS = 2  # pitch, loudness
 KERNEL = 3
 DILATION_BASE = 2  # block b dilates by DILATION_BASE ** b
+DROPOUT_P = 0.5  # after every hidden ReLU, in train mode only
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class TcnSpec:
     out_channels: int = 6
     hidden_channels: int = 128
     blocks: int = 5
-    dropout_p: float = 0.5
     i_max: float = 2.0
 
 
@@ -91,8 +90,8 @@ def _conv(params, name, x, dilation):
 def decode(spec, params, config, cond, mode="inference", seed=0):
     """Run the decoder; returns envelope Tensor of shape [n_osc, T].
 
-    cond: [T, 2] array (or Tensor) with entries in [0, 1]. mode "train"
-    applies seeded dropout; "inference" is deterministic.
+    cond: [T, 2] array with entries in [0, 1]. mode "train" applies
+    seeded dropout; "inference" is deterministic.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -101,9 +100,7 @@ def decode(spec, params, config, cond, mode="inference", seed=0):
             f"decoder has {spec.out_channels} output channels but config "
             f"{config.name!r} has {config.n_oscillators} oscillators"
         )
-    if not isinstance(cond, Tensor):
-        cond = Tensor(np.asarray(cond, dtype=np.float64))
-    cv = cond.values
+    cv = np.asarray(cond, dtype=np.float64)
     if cv.ndim != 2 or cv.shape[1] != IN_CHANNELS:
         raise ValueError(f"conditioning must be [T, {IN_CHANNELS}], got {cv.shape}")
     if cv.shape[0] < 1:
@@ -112,18 +109,18 @@ def decode(spec, params, config, cond, mode="inference", seed=0):
         raise ValueError("conditioning values outside [0, 1]")
 
     rng = np.random.default_rng(seed)
-    drop = spec.dropout_p if mode == "train" else 0.0
+    train = mode == "train"
     x = ad.constant(cv.T)  # [C, T] channels-first
     for b in range(spec.blocks):
         d = DILATION_BASE ** b
         h = _conv(params, f"block{b}.conv1", x, d)
         h = ad.relu(h)
-        if drop > 0.0:
-            h = ad.dropout(h, drop, rng)
+        if train:
+            h = ad.dropout(h, DROPOUT_P, rng)
         h = _conv(params, f"block{b}.conv2", h, d)
         h = ad.relu(h)
-        if drop > 0.0:
-            h = ad.dropout(h, drop, rng)
+        if train:
+            h = ad.dropout(h, DROPOUT_P, rng)
         if f"block{b}.skip.v" in params:
             skip = _conv(params, f"block{b}.skip", x, 1)
         else:

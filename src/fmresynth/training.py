@@ -28,7 +28,13 @@ from . import spectral as sp
 from . import tcn
 
 CHECKPOINT_MAGIC = b"FMRS"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+# the fixed training recipe
+LR0 = 3e-4
+LR_DECAY = 0.98
+LR_DECAY_EVERY = 10000
+CLIP_NORM = 2.0
 
 I_MAX_CHOICES = {"2": 2.0, "2pi": 2.0 * np.pi, "4pi": 4.0 * np.pi}
 
@@ -43,21 +49,18 @@ class RunConfig:
     i_max: float = 2.0
     steps: int = 120000
     batch: int = 16
-    lr0: float = 3e-4
-    lr_decay: float = 0.98
-    lr_decay_every: int = 10000
-    clip_norm: float = 2.0
     seed: int = 0
     checkpoint_every: int = 10000
     hidden_channels: int = 128
     blocks: int = 5
-    dropout_p: float = 0.5
 
     def __post_init__(self):
-        for name in ("i_max", "steps", "batch", "lr0", "lr_decay",
-                     "lr_decay_every", "clip_norm", "checkpoint_every"):
+        for name in ("i_max", "steps", "batch", "checkpoint_every",
+                     "hidden_channels", "blocks"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("RunConfig.seed must be non-negative")
 
     def digest(self):
         """SHA-256 over the settings that shape the weights: every field but
@@ -94,24 +97,24 @@ class RunConfig:
         return cls(**payload)
 
 
-def lr_at(step, lr0=3e-4, decay=0.98, every=10000):
-    """Staircase schedule: lr0 * decay ** floor(step / every)."""
+def lr_at(step):
+    """Staircase schedule: LR0 * LR_DECAY ** floor(step / LR_DECAY_EVERY)."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    return lr0 * decay ** (step // every)
+    return LR0 * LR_DECAY ** (step // LR_DECAY_EVERY)
 
 
-def clip_gradients(grads, max_norm=2.0):
-    """Scale the whole gradient set so its global L2 norm is <= max_norm."""
+def clip_gradients(grads):
+    """Scale the whole gradient set so its global L2 norm is <= CLIP_NORM."""
     total = 0.0
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
-    if norm <= max_norm:
+    if norm <= CLIP_NORM:
         return grads
-    scale = max_norm / norm
+    scale = CLIP_NORM / norm
     return {k: g * scale for k, g in grads.items()}
 
 
@@ -237,8 +240,7 @@ def load_checkpoint(path, run=None):
 
 def build_model(run, config):
     spec = tcn.TcnSpec(out_channels=config.n_oscillators, i_max=run.i_max,
-                       hidden_channels=run.hidden_channels, blocks=run.blocks,
-                       dropout_p=run.dropout_p)
+                       hidden_channels=run.hidden_channels, blocks=run.blocks)
     params = tcn.init_weights(spec, seed=run.seed)
     reverb_params = rv.init_reverb(seed=run.seed + 1)
     return spec, params, reverb_params
@@ -305,8 +307,7 @@ class Model:
             params = {k: ad.constant(p.values) for k, p in params.items()}
             reverb_params = {k: ad.constant(p.values)
                              for k, p in reverb_params.items()}
-        cond = ft.normalize(track)
-        env = tcn.decode(self.spec, params, self.config, cond.frames,
+        env = tcn.decode(self.spec, params, self.config, ft.normalize(track),
                          mode=mode, seed=seed)
         dry = fm.render(self.config, env, fm.RenderSpec(f0_frames=track.f0_hz),
                         i_max=self.spec.i_max)
@@ -387,8 +388,8 @@ def train(run, out_dir, resume_from=None):
             grads = {name: (p.grad if p.grad is not None
                             else np.zeros_like(p.values))
                      for name, p in all_params.items()}
-            grads = clip_gradients(grads, run.clip_norm)
-            lr = lr_at(step, run.lr0, run.lr_decay, run.lr_decay_every)
+            grads = clip_gradients(grads)
+            lr = lr_at(step)
             adam_step(all_params, grads, adam, lr)
 
             valid_loss = ""

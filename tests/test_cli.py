@@ -258,6 +258,15 @@ class TestTrainAndDownstream:
             tr.load_checkpoint(out / "checkpoint_00000001.ckpt", used)
         assert cli.build_parser().parse_args(["lint", "--corpus", "c"]).seed == 0
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--hidden", "0", "hidden_channels"), ("--blocks", "0", "blocks"),
+        ("--seed", "-1", "seed")])
+    def test_out_of_range_run_value_exits_2_naming_the_field(
+            self, workspace, tmp_path, capsys, flag, value, field):
+        assert run_cli("train", "--config", str(workspace / "run.json"),
+                       flag, value, "--out", str(tmp_path / "out")) == 2
+        assert f"RunConfig.{field} must be" in capsys.readouterr().err
+
     def test_lint_clean_corpus(self, workspace, capsys):
         assert run_cli("lint", "--corpus", str(workspace / "corpus"),
                        "--out", str(workspace)) == 0

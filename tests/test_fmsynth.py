@@ -3,6 +3,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 from importlib import resources
+from pathlib import Path
 
 from fmresynth import fmsynth as fm
 from fmresynth.fmsynth import ConfigError, FmConfig, Oscillator
@@ -98,7 +99,7 @@ class TestConfigFiles:
     @given(name=st.sampled_from(BUNDLED), by_line=st.booleans(), data=st.data())
     def test_patch_with_one_deletion_parses_or_is_a_config_error(
             self, name, by_line, data):
-        text = open(packaged_config(name)).read()
+        text = Path(packaged_config(name)).read_text()
         units = text.splitlines(keepends=True) if by_line else list(text)
         i = data.draw(st.integers(0, len(units) - 1), label="deleted unit")
         try:
