@@ -13,9 +13,13 @@ ones, so drift in the host's speed falls on both sides alike. Then one traced ru
 the root of this checkout holds every run's end-to-end metrics, each
 side's median and quartiles, how many pairs the change won, each side's
 [failed, attempted] operation totals, the traced metrics and the `# machine`
-line of the runs. A run that prints no metrics is kept in its pair entry
-as `<side>_error` with its exit code and the tail of its stderr, and the
-pair is left out of the summary; the other pairs still run. The script
+line of the runs. Each pair entry also holds `<side>_rusage`: the run's
+minor page faults and user and system CPU seconds, taken as deltas of
+getrusage(RUSAGE_CHILDREN) around it; each workload holds their per-side
+medians. Peak memory is not among them: ru_maxrss is a maximum, not a
+sum, so it has no delta. A run that prints no metrics is kept in its pair
+entry as `<side>_error` with its exit code and the tail of its stderr,
+and the pair is left out of the summary; the other pairs still run. The script
 exits 1 when any run fails perfbench's checks (`"correct": false`) or
 prints no metrics, so such a file cannot pass for a win, and 2 when
 --parent is this checkout.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -45,12 +50,17 @@ def parse_args(argv):
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
-    """One perfbench run in `checkout`: (machine info, result JSON), where a
-    run that prints no metrics gives {"error": {"exit", "stderr"}}."""
+    """One perfbench run in `checkout`: (machine info, result JSON, rusage),
+    where a run that prints no metrics gives {"error": {"exit", "stderr"}}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    rusage = {"minflt": after.ru_minflt - before.ru_minflt,
+              "utime_s": after.ru_utime - before.ru_utime,
+              "stime_s": after.ru_stime - before.ru_stime}
     lines = proc.stdout.strip().splitlines()
     machine = next((json.loads(line[len("# machine "):]) for line in lines
                     if line.startswith("# machine ")), None)
@@ -61,8 +71,8 @@ def run_bench(checkout, workload, seed, seconds, trace):
     if not isinstance(result, dict) or not result.get("metrics"):
         # no round finished, so nothing to compare
         return machine, {"error": {"exit": proc.returncode,
-                                   "stderr": proc.stderr[-2000:]}}
-    return machine, result
+                                   "stderr": proc.stderr[-2000:]}}, rusage
+    return machine, result, rusage
 
 
 def values(result):
@@ -118,9 +128,10 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             run = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
-                machine, result = run_bench(sides[side], workload, seed,
-                                            seconds, trace=0)
+                machine, result, rusage = run_bench(sides[side], workload,
+                                                    seed, seconds, trace=0)
                 report["machine"] = report["machine"] or machine
+                run[f"{side}_rusage"] = rusage
                 if "error" in result:
                     run[f"{side}_error"] = result["error"]
                     broken.append(f"{workload} pair {i} {side}")
@@ -148,7 +159,11 @@ def main(argv=None):
             "failed": {side: [sum(r[f"{side}_failed"][i] for r in runs
                                   if side in r) for i in (0, 1)]
                        for side in sides},
-            "traced": traced}
+            "traced": traced,
+            "rusage": {side: {k: statistics.median(r[f"{side}_rusage"][k]
+                                                   for r in runs)
+                              for k in ("minflt", "utime_s", "stime_s")}
+                       for side in sides}}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

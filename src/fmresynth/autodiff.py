@@ -364,6 +364,13 @@ def spectral_l1(x, target_lin, target_log, window, hop, eps):
     sum|target_lin - S| + sum|target_log - log(S + eps)|. The targets are
     fixed arrays shaped like S. The gradient of |.| at 0, and of |S| at
     zero-magnitude bins, is defined as 0.
+
+    For its backward the op keeps the complex spectrum and the signs of
+    the two differences as int8: 18 bytes per bin, ~14 MB over the six
+    MSS windows of a 4 s clip. The backward recomputes |S| and S + eps
+    from the spectrum with the forward's own expressions, so the gradient
+    is bit for bit that of the unfused chain (STFT magnitude, difference,
+    log, abs, sum).
     """
     x = _as_tensor(x)
     win, spec = _stft("spectral_l1", x, window, hop)
@@ -374,24 +381,39 @@ def spectral_l1(x, target_lin, target_log, window, hop, eps):
             raise AutodiffError(f"spectral_l1: {name} shape {np.shape(t)} "
                                 f"!= spectrogram shape {mag.shape}")
     d_lin = target_lin - mag
-    s_eps = mag + eps
-    d_log = target_log - np.log(s_eps)
-    value = np.abs(d_lin).sum() + np.abs(d_log).sum()
+    d_log = mag + eps
+    np.log(d_log, out=d_log)
+    np.subtract(target_log, d_log, out=d_log)
+    value = np.abs(d_lin, out=mag).sum() + np.abs(d_log, out=mag).sum()
+    signs = None
+    if x._needs_grad:  # a constant input records no tape and needs none
+        if np.isnan(value):
+            # a sign is NaN only in a window whose value is NaN, and int8
+            # cannot hold NaN: such a window keeps float64 signs
+            signs = (np.sign(d_lin), np.sign(d_log))
+        else:
+            # ±1 and 0 are exact in int8; casting each sign as it is
+            # written makes no float64 copy
+            signs = tuple(np.sign(d, out=np.empty(d.shape, np.int8),
+                                  casting="unsafe") for d in (d_lin, d_log))
 
     def bwd(g):
         ng = -g
-        gs = np.sign(d_lin)
-        gs *= ng
-        g_log = np.sign(d_log)
-        g_log *= ng
-        g_log /= s_eps
+        gs = np.multiply(signs[0], ng, dtype=np.float64)
+        g_log = np.multiply(signs[1], ng, dtype=np.float64)
+        mag = np.abs(spec)
+        g_log /= mag + eps
         gs += g_log
         # d|S|/dS is S/|S|, taken as 0 where |S| = 0
         inv_mag = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
         # adjoint of one-sided rfft of real frames; interior bins appear
         # twice in the Hermitian extension, so halve them first
         inv_mag[:, 1:(n + 1) // 2] *= 0.5
-        gframes = n * np.fft.irfft(gs * spec * inv_mag, n=n, axis=1) * win
+        gs = gs * spec
+        gs *= inv_mag
+        gframes = np.fft.irfft(gs, n=n, axis=1)
+        gframes *= n
+        gframes *= win
         gx = np.zeros_like(x.values)
         # frames taken every n//hop apart tile the signal without overlap,
         # so overlap-add reduces to strided flat adds

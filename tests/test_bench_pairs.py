@@ -9,13 +9,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 # perfbench/run.py stand-in: x_realtime VALUE on every run, except that a
-# run with --seed FAIL_SEED writes to stderr and exits 1 with no metrics
+# run with --seed FAIL_SEED writes to stderr and exits 1 with no metrics.
+# Each run writes 8 MB, so it faults pages in and spends CPU time.
 STUB = """\
 import argparse, json, sys
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     p.add_argument(flag)
 args = p.parse_args()
+block = b"x" * (8 << 20)
 print("# machine " + json.dumps({"cores": 2}))
 if int(args.seed) == FAIL_SEED:
     print("Traceback: round 1 raised MemoryError", file=sys.stderr)
@@ -57,6 +59,16 @@ def test_all_pairs_finish_and_are_summarized(tmp_path):
     assert summary["pairs"] == 10 and summary["change_won"] == 10
     assert report["workloads"]["w"]["failed"] == {"parent": [0, 30],
                                                   "change": [0, 30]}
+    fields = {"minflt", "utime_s", "stime_s"}
+    for run in report["workloads"]["w"]["runs"]:
+        for side in ("parent", "change"):
+            assert set(run[f"{side}_rusage"]) == fields
+            # 8 MB is 2 048 pages of 4 KiB
+            assert run[f"{side}_rusage"]["minflt"] > 2048
+    medians = report["workloads"]["w"]["rusage"]
+    for side in ("parent", "change"):
+        assert set(medians[side]) == fields
+        assert all(v > 0 for v in medians[side].values())
 
 
 def test_a_run_without_metrics_is_recorded_and_the_rest_kept(tmp_path):

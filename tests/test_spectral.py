@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,70 @@ def test_fused_loss_matches_the_unfused_chain_bit_for_bit(g):
         grads.append(x.grad)
     assert np.array_equal(values[0], values[1])
     assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", ["prediction", "target"])
+def test_a_nan_sample_gives_the_unfused_chain_nans(side):
+    # int8 cannot hold a NaN sign, so a NaN window keeps float64 signs
+    rng = np.random.default_rng(8)
+    pred = rng.standard_normal(16000)
+    target = pred + 0.1 * rng.standard_normal(16000)
+    (pred if side == "prediction" else target)[7000] = np.nan
+    target = sp.target_spectrograms(target)
+    values, grads = [], []
+    for loss_fn in (sp.mss_loss, _unfused_mss_loss):
+        x = ad.parameter(pred)
+        loss = loss_fn(target, x)
+        ad.backward(ad.mul(loss, ad.constant(1 / 3)))
+        values.append(loss.values)
+        grads.append(x.grad)
+    assert np.isnan(values[0]) and np.isnan(grads[0]).any()
+    assert not np.isnan(grads[0]).all()
+    assert np.array_equal(values[0], values[1], equal_nan=True)
+    assert np.array_equal(grads[0], grads[1], equal_nan=True)
+
+
+def test_spectral_l1_gradient_at_a_wider_window_with_silent_frames():
+    # window 256: interior bins 1..127 are halved in the backward, and the
+    # silent stretch holds whole frames with |S| = 0
+    r = np.random.default_rng(9)
+    x = r.standard_normal(1024)
+    x[384:704] = 0.0
+    mag = ad.stft_magnitude(ad.constant(x), 256, 64).values
+    assert np.any(np.all(mag == 0.0, axis=1))
+    # targets 0.5 off the spectra keep every L1 kink outside the FD step
+    off = np.where(r.random(mag.shape) < 0.5, -0.5, 0.5)
+    lin, log = mag + off, np.log(mag + 1e-6) + off
+    err = ad.check_gradients(
+        lambda t: ad.spectral_l1(t[0], lin, log, 256, 64, 1e-6), [x])
+    assert err < 1e-4
+
+
+def test_backward_keeps_the_spectrum_and_two_int8_signs(monkeypatch):
+    # 16 + 1 + 1 bytes per bin: ~13.9 MB over the six windows of a 4 s clip
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(64000)
+    target = sp.target_spectrograms(x + 0.1 * rng.standard_normal(64000))
+
+    def retained(prediction):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = sp.mss_loss(target, prediction)
+            return loss, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    loss, kept = retained(ad.parameter(x))
+    assert loss._backward_fn is not None
+    assert kept < 16e6
+    # a constant prediction keeps no closure and computes no signs
+    signs = []
+    real_sign = np.sign
+    monkeypatch.setattr(np, "sign",
+                        lambda *a, **k: signs.append(a) or real_sign(*a, **k))
+    const, kept = retained(ad.constant(x))
+    assert const._backward_fn is None and not signs
+    assert kept < 1e6
+    assert const.values == loss.values
