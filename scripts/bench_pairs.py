@@ -15,9 +15,13 @@ side's median and quartiles, how many pairs the change won, each side's
 [failed, attempted] operation totals, the traced metrics and the `# machine`
 line of the runs. Each pair entry also holds `<side>_rusage`: the run's
 minor page faults and user and system CPU seconds, taken as deltas of
-getrusage(RUSAGE_CHILDREN) around it; each workload holds their per-side
-medians. Peak memory is not among them: ru_maxrss is a maximum, not a
-sum, so it has no delta. A run that prints no metrics is kept in its pair
+getrusage(RUSAGE_CHILDREN) around it, and, for a run that printed
+metrics, `<side>_rusage_per_op`: the same deltas divided by the run's
+attempted operations. A run repeats rounds for a fixed time, so the
+faster side does more work per run; the per-operation figures compare
+like with like. Each workload holds the per-side medians of both, under
+`rusage` as `<side>` and `<side>_per_op`. Peak memory is not among them:
+ru_maxrss is a maximum, not a sum, so it has no delta. A run that prints no metrics is kept in its pair
 entry as `<side>_error` with its exit code and the tail of its stderr,
 and the pair is left out of the summary; the other pairs still run. The script
 exits 1 when any run fails perfbench's checks (`"correct": false`) or
@@ -37,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
+RUSAGE = ("minflt", "utime_s", "stime_s")
 
 
 def parse_args(argv):
@@ -82,6 +87,13 @@ def values(result):
 def quartiles(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def rusage_medians(runs, key):
+    """Per-field medians of the runs' `key` entries; {} when no run has one."""
+    entries = [r[key] for r in runs if key in r]
+    return ({k: statistics.median(e[k] for e in entries) for k in RUSAGE}
+            if entries else {})
 
 
 def summarize(runs, end_to_end):
@@ -138,6 +150,8 @@ def main(argv=None):
                     continue
                 run[side] = values(result)
                 run[f"{side}_failed"] = [result["failed"], result["attempted"]]
+                run[f"{side}_rusage_per_op"] = {
+                    k: v / result["attempted"] for k, v in rusage.items()}
                 if not result["correct"]:
                     incorrect.append(f"{workload} pair {i} {side}")
             runs.append(run)
@@ -160,10 +174,9 @@ def main(argv=None):
                                   if side in r) for i in (0, 1)]
                        for side in sides},
             "traced": traced,
-            "rusage": {side: {k: statistics.median(r[f"{side}_rusage"][k]
-                                                   for r in runs)
-                              for k in ("minflt", "utime_s", "stime_s")}
-                       for side in sides}}
+            "rusage": {side + per_op: rusage_medians(
+                runs, f"{side}_rusage{per_op}")
+                for side in sides for per_op in ("", "_per_op")}}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")

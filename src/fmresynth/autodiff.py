@@ -18,12 +18,13 @@ discarded.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 __all__ = [
     "Tensor",
     "AutodiffError",
     "OP_KINDS",
-    "add", "mul", "div", "neg", "sin", "exp", "log", "abs_",
+    "add", "mul", "div", "sin", "exp", "log", "abs_",
     "sigmoid", "relu", "conv1d_dilated", "linear_upsample", "stft_magnitude",
     "spectral_l1", "reduce_sum", "dropout", "slice_", "fft_convolve",
     "constant",
@@ -159,11 +160,6 @@ def div(a, b):
 
 # ---------------------------------------------------------------------------
 # elementwise unary ops
-
-def neg(x):
-    x = _as_tensor(x)
-    return _make(-x.values, "neg", (x,), lambda g: (-g,))
-
 
 def sin(x):
     x = _as_tensor(x)
@@ -439,7 +435,7 @@ def fft_convolve(x, h):
             f"fft_convolve: expected 1-D inputs, got {xv.shape} and {hv.shape}"
         )
     l, m = xv.shape[0], hv.shape[0]
-    nfft = _next_fast_len(l + m - 1)
+    nfft = next_fast_len(l + m - 1, real=True)
     xf, hf = np.fft.rfft(xv, nfft), np.fft.rfft(hv, nfft)
     out = np.fft.irfft(xf * hf, nfft)[:l]
 
@@ -453,11 +449,6 @@ def fft_convolve(x, h):
         return gx, gh
 
     return _make(out, "fft_convolve", (x, h), bwd)
-
-
-def _next_fast_len(n):
-    from scipy.fft import next_fast_len
-    return next_fast_len(n, real=True)
 
 
 def dropout(x, p, rng):
@@ -553,21 +544,18 @@ def _check_gradients(fn, inputs, step):
     if not np.all(np.isfinite(out.values)):
         raise AutodiffError("check_gradients: non-finite forward value")
     backward(out)
+    probe = lambda: float(fn([Tensor(x.values) for x in tensors]).values)
     worst = 0.0
-    for i, t in enumerate(tensors):
+    for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.values)
         flat = t.values.reshape(-1)
         fd = np.zeros_like(flat)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            hi = float(fn([Tensor(x.values) for x in tensors[:i]]
-                          + [Tensor(t.values)]
-                          + [Tensor(x.values) for x in tensors[i + 1:]]).values)
+            hi = probe()
             flat[j] = orig - step
-            lo = float(fn([Tensor(x.values) for x in tensors[:i]]
-                          + [Tensor(t.values)]
-                          + [Tensor(x.values) for x in tensors[i + 1:]]).values)
+            lo = probe()
             flat[j] = orig
             fd[j] = (hi - lo) / (2.0 * step)
         a = analytic.reshape(-1)
@@ -597,7 +585,6 @@ def _op_check_cases(seed):
         "add": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(add(t[0], t[1]))),
         "mul": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(mul(t[0], t[1]))),
         "div": ([v(3, 4), pos(3, 4)], lambda t: reduce_sum(div(t[0], t[1]))),
-        "neg": ([v(5)], lambda t: reduce_sum(neg(t[0]))),
         "sin": ([v(6)], lambda t: reduce_sum(sin(sin(t[0])))),
         "exp": ([v(6)], lambda t: reduce_sum(exp(t[0]))),
         "log": ([pos(6)], lambda t: reduce_sum(log(t[0]))),

@@ -36,9 +36,6 @@ ABLATION_VARIANTS = {
 
 @dataclass
 class EvalReport:
-    run_id: str
-    config_name: str
-    i_max: float
     per_clip: list            # list of metric dicts
     mss: float = 0.0          # aggregates: means over clips
     log_spectral_distance_db: float = 0.0
@@ -117,7 +114,7 @@ def compute_metrics(target, prediction, target_track=None):
 
 
 def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
-                        out_dir=None, run_id=""):
+                        out_dir=None):
     """EvalReport over a corpus split; optionally writes resynthesized wavs."""
     manifest = ds.load_manifest(Path(corpus_dir) / "manifest.json")
     records = sorted(manifest.split_records(split), key=lambda r: r.clip_id)
@@ -136,10 +133,7 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
             out_dir.mkdir(parents=True, exist_ok=True)
             ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
             ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
-    report = EvalReport(run_id=run_id or Path(str(checkpoint_path)).stem,
-                        config_name=model.config.name, i_max=run.i_max,
-                        per_clip=per_clip)
-    return report.aggregate()
+    return EvalReport(per_clip).aggregate()
 
 
 def run_grid(cells, out_path=None):
@@ -160,8 +154,7 @@ def run_grid(cells, out_path=None):
                          "mss": "", "lsd_db": "", "f0_rmse_cents": ""})
             missing.append(cell["name"])
             continue
-        report = evaluate_checkpoint(cell["run"], ckpt, cell["corpus_dir"],
-                                     run_id=cell["name"])
+        report = evaluate_checkpoint(cell["run"], ckpt, cell["corpus_dir"])
         rows.append({"name": cell["name"], "status": "ok",
                      "mss": f"{report.mss:.6g}",
                      "lsd_db": f"{report.log_spectral_distance_db:.6g}",

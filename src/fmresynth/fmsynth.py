@@ -11,7 +11,6 @@ used to verify rendered sideband spectra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,34 +60,22 @@ class FmConfig:
                     raise ConfigError("feedback not supported")
         if not any(o.carrier for o in self.oscillators):
             raise ConfigError("config has no carrier")
-        # also raises on cycles
-        object.__setattr__(self, "_topo", tuple(self._topological_order()))
         object.__setattr__(self, "_modulators", tuple(
             tuple(m for m, o in enumerate(self.oscillators) if k in o.modulates)
             for k in range(n)))
+        object.__setattr__(self, "_topo", self._topological_order())
 
     def _topological_order(self):
-        """Modulators-first order; raises ConfigError on cycles."""
-        n = len(self.oscillators)
-        # Kahn's algorithm over modulator -> target edges; an oscillator is
-        # ready once all of its modulators are placed
-        remaining = [0] * n
-        for osc in self.oscillators:
-            for j in osc.modulates:
-                remaining[j] += 1
-        ready = sorted(i for i in range(n) if remaining[i] == 0)
-        result = []
-        while ready:
-            i = ready.pop(0)
-            result.append(i)
-            for j in self.oscillators[i].modulates:
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    ready.append(j)
-                    ready.sort()
-        if len(result) != n:
-            raise ConfigError("feedback not supported")
-        return result
+        """Modulators-first order: repeatedly the lowest-numbered oscillator
+        whose modulators are all placed; raises ConfigError on cycles."""
+        order = ()
+        while len(order) < len(self.oscillators):
+            ready = [k for k, mods in enumerate(self._modulators)
+                     if k not in order and set(mods) <= set(order)]
+            if not ready:
+                raise ConfigError("feedback not supported")
+            order += (ready[0],)
+        return order
 
     @property
     def n_oscillators(self):

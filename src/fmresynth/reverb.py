@@ -38,9 +38,9 @@ def effective_ir(params):
     t = np.arange(n) / SAMPLE_RATE
     # stable softplus: relu(d) + log(1 + exp(-|d|))
     d = params["reverb.decay"]
-    softplus = ad.add(ad.relu(d),
-                      ad.log(ad.add(ad.exp(ad.neg(ad.abs_(d))), ad.constant(1.0))))
-    envelope = ad.exp(ad.mul(ad.neg(softplus), ad.constant(t)))
+    softplus = ad.add(ad.relu(d), ad.log(ad.add(
+        ad.exp(ad.mul(ad.abs_(d), ad.constant(-1.0))), ad.constant(1.0))))
+    envelope = ad.exp(ad.mul(ad.mul(softplus, ad.constant(-1.0)), ad.constant(t)))
     wet = ad.mul(params["reverb.wet_gain"], ad.mul(ir_raw, envelope))
     # the dry path is the first tap, so a mask holds the wet one at 0
     return ad.mul(wet, ad.constant(np.arange(n) > 0))

@@ -133,9 +133,7 @@ def adam_step(params, grads, state, lr):
     state.t += 1
     t = state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.values)
@@ -326,8 +324,9 @@ def _validation_loss(model, clips):
 def train(run, out_dir, resume_from=None):
     """Run the optimization; returns the final checkpoint path.
 
-    Writes checkpoints and an append-only CSV loss log (columns: step, lr,
-    train_loss, valid_loss) under out_dir.
+    Writes checkpoints and a CSV loss log (columns: step, lr, train_loss,
+    valid_loss) under out_dir. A resume keeps the log's rows before its
+    step and writes the rest again.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,11 +352,12 @@ def train(run, out_dir, resume_from=None):
 
     batches_per_epoch = max(1, int(np.ceil(len(train_records) / run.batch)))
     log_path = out_dir / "loss_log.csv"
-    mode = "a" if start_step > 0 and log_path.exists() else "w"
+    rows = (log_path.read_text().splitlines(True)[1:]
+            if start_step > 0 and log_path.exists() else [])
     last_ckpt = None
-    with open(log_path, mode) as logfh:
-        if mode == "w":
-            logfh.write("step,lr,train_loss,valid_loss\n")
+    with open(log_path, "w") as logfh:
+        logfh.write("step,lr,train_loss,valid_loss\n")
+        logfh.writelines(r for r in rows if int(r.split(",")[0]) < start_step)
         for step in range(start_step, run.steps):
             epoch = step // batches_per_epoch
             batch_idx = step % batches_per_epoch
@@ -394,13 +394,16 @@ def train(run, out_dir, resume_from=None):
 
             valid_loss = ""
             is_ckpt = (step + 1) % run.checkpoint_every == 0 or step + 1 == run.steps
+            if is_ckpt and valid_clips:
+                valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
+            logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
             if is_ckpt:
-                if valid_clips:
-                    valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
+                # flush first: a run killed after this checkpoint then
+                # leaves in the log every row the checkpoint covers
+                logfh.flush()
                 last_ckpt = out_dir / f"checkpoint_{step + 1:08d}.ckpt"
                 save_checkpoint(last_ckpt, run, step + 1, model.params,
                                 model.reverb_params, adam)
-            logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
     return last_ckpt
 
 

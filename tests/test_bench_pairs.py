@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 # perfbench/run.py stand-in: x_realtime VALUE on every run, except that a
@@ -65,10 +67,15 @@ def test_all_pairs_finish_and_are_summarized(tmp_path):
             assert set(run[f"{side}_rusage"]) == fields
             # 8 MB is 2 048 pages of 4 KiB
             assert run[f"{side}_rusage"]["minflt"] > 2048
+            # the stub attempts 3 operations per run
+            assert run[f"{side}_rusage_per_op"] == {
+                k: v / 3 for k, v in run[f"{side}_rusage"].items()}
     medians = report["workloads"]["w"]["rusage"]
     for side in ("parent", "change"):
         assert set(medians[side]) == fields
         assert all(v > 0 for v in medians[side].values())
+        assert medians[f"{side}_per_op"] == pytest.approx(
+            {k: v / 3 for k, v in medians[side].items()})
 
 
 def test_a_run_without_metrics_is_recorded_and_the_rest_kept(tmp_path):
@@ -88,6 +95,11 @@ def test_a_run_without_metrics_is_recorded_and_the_rest_kept(tmp_path):
     summary = report["workloads"]["w"]["summary"]["x_realtime"]
     assert summary["pairs"] == 9 and summary["change_won"] == 9
     assert report["workloads"]["w"]["failed"]["change"] == [0, 27]
+    # a run without metrics has no attempted count to divide by
+    assert "change_rusage" in broken and "change_rusage_per_op" not in broken
+    assert sum("change_rusage_per_op" in r for r in runs) == 9
+    assert set(report["workloads"]["w"]["rusage"]["change_per_op"]) == {
+        "minflt", "utime_s", "stime_s"}
 
 
 def test_parent_that_is_this_checkout_is_refused(tmp_path):

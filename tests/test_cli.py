@@ -135,6 +135,29 @@ class TestRender:
                        "--envelopes", str(tmp_path / "env.npz"),
                        "--out", str(tmp_path / "out.wav")) == 1
 
+    @pytest.mark.parametrize("flag, arrays, named", [
+        ("--f0", {"pitch": np.full(25, 440.0)}, "'f0'"),
+        ("--f0", {"f0": np.full((25, 1), 440.0)}, "'f0' must be 1-D"),
+        ("--envelopes", {"env": np.zeros((25, 2))}, "'envelopes'"),
+        ("--envelopes", {"envelopes": np.float64(0.5)},
+         "'envelopes' must be 2-D"),
+        ("--f0", None, "not an npz file"),  # a bare .npy array
+    ])
+    def test_malformed_npz_exits_2_naming_file_and_key(
+            self, flag, arrays, named, tmp_path, capsys):
+        with open(tmp_path / "in.npz", "wb") as fh:
+            if arrays is None:
+                np.save(fh, np.full(25, 440.0))
+            else:
+                np.savez(fh, **arrays)
+        assert run_cli("render", "--patch", packaged_config("strings1_2"),
+                       "--seconds", "0.1", flag, str(tmp_path / "in.npz"),
+                       "--out", str(tmp_path / "out.wav")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(tmp_path / "in.npz") in err and named in err, err
+        assert not (tmp_path / "out.wav").exists()
+
 
 class TestPrepare:
     def test_synthetic_corpus_deterministic(self, tmp_path):

@@ -366,6 +366,29 @@ class TestTrainLoop:
         assert ((out / "checkpoint_00000006.ckpt").read_bytes()
                 == (resumed / "checkpoint_00000006.ckpt").read_bytes())
 
+    def test_resume_into_the_same_directory_rewrites_the_log(self, tmp_path,
+                                                             tiny_run):
+        out = tmp_path / "run"
+        tr.train(tiny_run, out)
+        straight = (out / "loss_log.csv").read_bytes()
+        tr.train(tiny_run, out, resume_from=out / "checkpoint_00000003.ckpt")
+        assert (out / "loss_log.csv").read_bytes() == straight
+
+    def test_log_holds_every_row_a_checkpoint_covers_when_it_is_written(
+            self, tmp_path, tiny_run, monkeypatch):
+        out = tmp_path / "run"
+        logged = {}
+        save = tr.save_checkpoint
+
+        def spy(path, run, step, *rest):
+            rows = (out / "loss_log.csv").read_text().splitlines()[1:]
+            logged[step] = [int(r.split(",")[0]) for r in rows]
+            save(path, run, step, *rest)
+
+        monkeypatch.setattr(tr, "save_checkpoint", spy)
+        tr.train(tiny_run, out)
+        assert logged == {3: [0, 1, 2], 6: [0, 1, 2, 3, 4, 5]}
+
     def test_empty_train_split_rejected(self, tmp_path, two_osc_config):
         ds.synth_corpus(two_osc_config, 1, seed=0, out_dir=tmp_path / "c",
                         split_fractions=(0.0, 0.0, 1.0))
