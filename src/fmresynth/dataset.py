@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import resample_poly
 
 from . import features as ft
 from . import fmsynth as fm
@@ -110,6 +109,8 @@ def write_wav(path, audio):
 
 def resample_to(audio, rate_in):
     """Polyphase windowed-sinc resampling (Kaiser window) to SAMPLE_RATE."""
+    # imported here: scipy.signal is half the import time of the package
+    from scipy.signal import resample_poly
     if rate_in == SAMPLE_RATE:
         return np.asarray(audio, dtype=np.float64)
     g = np.gcd(int(rate_in), SAMPLE_RATE)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -26,6 +27,7 @@ from . import fmsynth as fm
 from . import reverb as rv
 from . import spectral as sp
 from . import tcn
+from . import workers
 
 CHECKPOINT_MAGIC = b"FMRS"
 CHECKPOINT_VERSION = 4
@@ -327,12 +329,18 @@ def train(run, out_dir, resume_from=None):
     Writes checkpoints and a CSV loss log (columns: step, lr, train_loss,
     valid_loss) under out_dir. A resume keeps the log's rows before its
     step and writes the rest again.
+
+    The clips of a step run in worker processes (see ``workers``), one
+    per core up to the batch size. The train clip at index i of its split
+    belongs to worker i mod n, which alone holds its targets. Each worker
+    returns per clip its loss and its gradient of loss / batch size, and
+    they are summed here in batch order: the bytes ``.grad`` held when one
+    process back-propagated every clip into the same leaves.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ds.load_manifest(Path(run.corpus_dir) / "manifest.json")
     model = Model.build(run)
-    all_params = model.named_params()
     adam = AdamState()
 
     start_step = 0
@@ -344,67 +352,115 @@ def train(run, out_dir, resume_from=None):
         raise ValueError("train split is empty")
     valid_records = manifest.split_records("valid")
 
-    cache = {}
-    for r in train_records + valid_records:
-        audio, track, _env = ds.load_clip(run.corpus_dir, r)
-        cache[r.clip_id] = (sp.target_spectrograms(audio), track)
-    valid_clips = [cache[r.clip_id] for r in valid_records]
+    n = min(workers.cpu_count(), run.batch, len(train_records))
+    with workers.pool(n) as pool:
+        owner = {r.clip_id: pool[i % n] for i, r in enumerate(train_records)}
+        for k, worker in enumerate(pool):
+            worker.send(("begin", os.getcwd(), run, train_records[k::n]))
+        for r in train_records:
+            owner[r.clip_id].recv()
+        valid_clips = []
+        for r in valid_records:
+            audio, track, _env = ds.load_clip(run.corpus_dir, r)
+            valid_clips.append((sp.target_spectrograms(audio), track))
 
-    batches_per_epoch = max(1, int(np.ceil(len(train_records) / run.batch)))
-    log_path = out_dir / "loss_log.csv"
-    rows = (log_path.read_text().splitlines(True)[1:]
-            if start_step > 0 and log_path.exists() else [])
-    last_ckpt = None
-    with open(log_path, "w") as logfh:
-        logfh.write("step,lr,train_loss,valid_loss\n")
-        logfh.writelines(r for r in rows if int(r.split(",")[0]) < start_step)
-        for step in range(start_step, run.steps):
-            epoch = step // batches_per_epoch
-            batch_idx = step % batches_per_epoch
-            batch = ds.minibatch(manifest, "train", run.batch,
-                                 seed=run.seed, epoch=epoch)[batch_idx]
+        all_params = model.named_params()
+        batches_per_epoch = max(1, int(np.ceil(len(train_records) / run.batch)))
+        log_path = out_dir / "loss_log.csv"
+        rows = (log_path.read_text().splitlines(True)[1:]
+                if start_step > 0 and log_path.exists() else [])
+        last_ckpt = None
+        with open(log_path, "w") as logfh:
+            logfh.write("step,lr,train_loss,valid_loss\n")
+            logfh.writelines(r for r in rows if int(r.split(",")[0]) < start_step)
+            for step in range(start_step, run.steps):
+                epoch = step // batches_per_epoch
+                batch_idx = step % batches_per_epoch
+                batch = ds.minibatch(manifest, "train", run.batch,
+                                     seed=run.seed, epoch=epoch)[batch_idx]
 
-            # back-propagate each clip as soon as its loss is known, so a
-            # step holds one clip's tape whatever the batch size; the leaf
-            # grads accumulate the batch mean in batch order
-            for p in all_params.values():
-                p.zero_grad()
-            scale = ad.constant(1.0 / len(batch))
-            total = 0.0
-            for j, record in enumerate(batch):
-                audio, track = cache[record.clip_id]
-                _env, _dry, wet = model.forward(
-                    track, mode="train", seed=_dropout_seed(run.seed, step, j))
-                loss = sp.mss_loss(audio, wet)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise FloatingPointError(
-                        f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
-                    )
-                total += value
-                ad.backward(ad.mul(loss, scale))
-                del _env, _dry, wet, loss  # free this clip's tape
-            train_loss = total * scale.item()
-            grads = {name: (p.grad if p.grad is not None
-                            else np.zeros_like(p.values))
-                     for name, p in all_params.items()}
-            grads = clip_gradients(grads)
-            lr = lr_at(step)
-            adam_step(all_params, grads, adam, lr)
+                values = {name: p.values for name, p in all_params.items()}
+                for worker in pool:
+                    clips = [(j, r.clip_id) for j, r in enumerate(batch)
+                             if owner[r.clip_id] is worker]
+                    if clips:
+                        worker.send(("step", values, step, len(batch), clips))
+                grads = dict.fromkeys(all_params)
+                total = 0.0
+                for record in batch:
+                    value, clip_grads = owner[record.clip_id].recv()
+                    if not np.isfinite(value):
+                        raise FloatingPointError(
+                            f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
+                        )
+                    total += value
+                    for name, g in clip_grads.items():
+                        if g is not None:
+                            grads[name] = g if grads[name] is None else grads[name] + g
+                train_loss = total * (1.0 / len(batch))
+                grads = {name: (g if g is not None
+                                else np.zeros_like(all_params[name].values))
+                         for name, g in grads.items()}
+                grads = clip_gradients(grads)
+                lr = lr_at(step)
+                adam_step(all_params, grads, adam, lr)
 
-            valid_loss = ""
-            is_ckpt = (step + 1) % run.checkpoint_every == 0 or step + 1 == run.steps
-            if is_ckpt and valid_clips:
-                valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
-            logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
-            if is_ckpt:
-                # flush first: a run killed after this checkpoint then
-                # leaves in the log every row the checkpoint covers
-                logfh.flush()
-                last_ckpt = out_dir / f"checkpoint_{step + 1:08d}.ckpt"
-                save_checkpoint(last_ckpt, run, step + 1, model.params,
-                                model.reverb_params, adam)
+                valid_loss = ""
+                is_ckpt = (step + 1) % run.checkpoint_every == 0 or step + 1 == run.steps
+                if is_ckpt and valid_clips:
+                    valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
+                logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
+                if is_ckpt:
+                    # flush first: a run killed after this checkpoint then
+                    # leaves in the log every row the checkpoint covers
+                    logfh.flush()
+                    last_ckpt = out_dir / f"checkpoint_{step + 1:08d}.ckpt"
+                    save_checkpoint(last_ckpt, run, step + 1, model.params,
+                                    model.reverb_params, adam)
     return last_ckpt
+
+
+def _handle(state, message, reply):
+    """Answer one request in a worker process (see ``workers``).
+
+    ("begin", cwd, run, records): build the run's model and the records'
+    targets, one reply per record. ("step", weights, step, batch size,
+    [(batch position, clip id), ...]): per clip, reply (loss, {name: grad
+    of loss / batch size, or None}). ("end",): drop the call's state.
+    """
+    kind, *args = message
+    if kind == "begin":
+        cwd, run, records = args
+        os.chdir(cwd)
+        state.clear()
+        state.update(run=run, model=Model.build(run), targets={})
+        for r in records:
+            audio, track, _env = ds.load_clip(run.corpus_dir, r)
+            state["targets"][r.clip_id] = (sp.target_spectrograms(audio), track)
+            reply(("ok",))
+    elif kind == "step":
+        weights, step, batch_size, clips = args
+        run, model = state["run"], state["model"]
+        named = model.named_params()
+        for name, p in named.items():
+            p.values = weights[name]
+        scale = ad.constant(1.0 / batch_size)
+        for j, clip_id in clips:
+            targets, track = state["targets"][clip_id]
+            for p in named.values():
+                p.zero_grad()
+            _env, _dry, wet = model.forward(
+                track, mode="train", seed=_dropout_seed(run.seed, step, j))
+            loss = sp.mss_loss(targets, wet)
+            value = loss.item()
+            if np.isfinite(value):
+                ad.backward(ad.mul(loss, scale))
+            reply(("ok", value, {name: p.grad for name, p in named.items()}))
+            del _env, _dry, wet, loss  # free this clip's tape
+    elif kind == "end":
+        state.clear()
+    else:
+        raise ValueError(f"unknown worker request {kind!r}")
 
 
 def _dropout_seed(seed, step, clip_index):

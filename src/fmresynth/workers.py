@@ -1,0 +1,168 @@
+"""Persistent worker processes that compute the clips of a training step.
+
+Each worker is ``python -c`` started with ``subprocess`` (never a
+``multiprocessing`` start method, which re-imports an unguarded
+``__main__``), with every BLAS library held to one thread, so a clip's
+numbers do not depend on the host's cores. Parent and worker exchange
+pickled tuples over the worker's stdin and stdout; a worker answers every
+item of a request with one reply, in order, and answers the first item
+that raises with ``("error", exception, traceback text)`` and nothing more
+for that request.
+
+Workers start on first use and live as long as the interpreter: they are
+closed from ``atexit``, and a parent that dies closes their stdin, which
+ends them too. What a request computes is ``training._handle``.
+"""
+
+from __future__ import annotations
+
+import atexit
+import os
+import pickle
+import queue
+import signal
+import subprocess
+import sys
+import threading
+import traceback
+from contextlib import contextmanager
+from pathlib import Path
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS")
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[1])
+_WORKERS = []
+
+
+def cpu_count():
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+class RemoteTraceback(Exception):
+    """The traceback of an exception raised in a worker, as its cause."""
+
+
+def unpack(reply):
+    """The payload of a reply; re-raises the exception a worker sent."""
+    kind, *payload = reply
+    if kind == "error":
+        exc, text = payload
+        raise exc from RemoteTraceback(text)
+    return payload
+
+
+class Worker:
+    """One worker process and the two pipes to it."""
+
+    def __init__(self, index):
+        self.index = index
+        env = {**os.environ, **{var: "1" for var in BLAS_ENV}}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH"))))
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", "from fmresynth import workers; workers.serve()"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+
+    def send(self, message):
+        try:
+            pickle.dump(message, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+        except OSError:
+            raise self._exited() from None
+
+    def recv(self):
+        try:
+            reply = pickle.load(self.proc.stdout)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self._exited() from None
+        return unpack(reply)
+
+    def _exited(self):
+        name = f"training worker {self.index} (pid {self.proc.pid})"
+        try:
+            code = self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            return ChildProcessError(f"{name} stopped answering")
+        return ChildProcessError(f"{name} exited with code {code}")
+
+    def close(self):
+        """EOF on its stdin ends the worker; one still busy after 5 s is
+        killed. Either way it is reaped."""
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+@contextmanager
+def pool(n):
+    """The first n workers, started as needed, for one call.
+
+    On a normal exit each drops the call's state; on an exception every
+    worker is closed, since replies still on their way would otherwise
+    answer the next call.
+    """
+    while len(_WORKERS) < n:
+        _WORKERS.append(Worker(len(_WORKERS)))
+    try:
+        yield _WORKERS[:n]
+        for worker in _WORKERS[:n]:
+            worker.send(("end",))
+    except BaseException:
+        close_all()
+        raise
+
+
+@atexit.register
+def close_all():
+    while _WORKERS:
+        _WORKERS.pop().close()
+
+
+def serve():
+    """A worker's main loop: answer requests on stdin until it closes."""
+    from .training import _handle
+
+    # Ctrl-C reaches the whole process group; the parent decides
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    requests = sys.stdin.buffer
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, not into the reply pipe
+    outbox = queue.Queue()
+
+    def send_replies():
+        # a thread of its own, so that computing never waits for the
+        # parent to read: it reads the replies in batch order
+        while (reply := outbox.get()) is not None:
+            try:
+                pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
+            except OSError:  # the parent is gone
+                os._exit(1)
+
+    sender = threading.Thread(target=send_replies, daemon=True)
+    sender.start()
+    state = {}
+    while True:
+        try:
+            message = pickle.load(requests)
+        except EOFError:
+            break
+        try:
+            _handle(state, message, outbox.put)
+        except Exception as exc:
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            outbox.put(("error", exc, text))
+    outbox.put(None)
+    sender.join()

@@ -348,6 +348,24 @@ class TestTrainAndDownstream:
                        "--out", str(tmp_path / "out")) == 2
         assert path.name in capsys.readouterr().err
 
+    def test_train_on_a_truncated_clip_exits_2_with_one_error_line(
+            self, workspace, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        manifest = ds.load_manifest(corpus / "manifest.json")
+        path = corpus / manifest.split_records("train")[-1].audio_path
+        path.write_bytes(path.read_bytes()[:-4])
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmresynth.cli", "train",
+             "--config", str(workspace / "run.json"), "--corpus", str(corpus),
+             "--steps", "1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: clip cache {path} is truncated"]
+
     @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"}])
     def test_malformed_run_json_is_runtime_error(self, workspace, tmp_path,
                                                  capsys, change):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,18 @@ class TestPreprocess:
         spec = np.abs(np.fft.rfft(y))
         peak_hz = np.argmax(spec) * 16000 / len(y)
         assert peak_hz == pytest.approx(440.0, abs=3.0)
+
+    def test_importing_training_leaves_scipy_signal_unloaded(self):
+        # scipy.signal is about half the package's import time, which
+        # every training worker and every CLI call pays
+        src = Path(ds.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fmresynth.training; "
+             "print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_strip_silence_removes_gaps(self):
         loud = tone(440.0, 1.0)

@@ -1,6 +1,13 @@
+import contextlib
 import csv
 import json
+import os
+import pickle
+import signal
 import struct
+import subprocess
+import sys
+import threading
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -18,8 +25,36 @@ from fmresynth import reverb as rv
 from fmresynth import spectral as sp
 from fmresynth import tcn
 from fmresynth import training as tr
+from fmresynth import workers
 
 from conftest import packaged_config, piecewise_envelopes
+
+
+class InProcessWorker:
+    """Answers worker requests in this process, so that a patch made here
+    reaches the code a worker runs; each request still goes through pickle."""
+
+    def __init__(self):
+        self.state, self.replies = {}, []
+
+    def send(self, message):
+        try:
+            tr._handle(self.state, pickle.loads(pickle.dumps(message)),
+                       self.replies.append)
+        except Exception as exc:
+            self.replies.append(("error", exc, ""))
+
+    def recv(self):
+        return workers.unpack(self.replies.pop(0))
+
+
+@pytest.fixture
+def in_process_workers(monkeypatch):
+    @contextlib.contextmanager
+    def pool(n):
+        yield [InProcessWorker() for _ in range(n)]
+
+    monkeypatch.setattr(workers, "pool", pool)
 
 
 @pytest.fixture
@@ -440,7 +475,7 @@ class TestGradientAccumulation:
             assert np.max(np.abs(accumulated[name] - p.grad)) <= 1e-12 * scale, name
 
     def test_one_backward_per_clip_per_step(self, tmp_path, pair_run,
-                                            monkeypatch):
+                                            monkeypatch, in_process_workers):
         calls = []
         backward = ad.backward
         monkeypatch.setattr(ad, "backward",
@@ -450,7 +485,7 @@ class TestGradientAccumulation:
         assert len(calls) == run.steps * run.batch
 
     def test_target_cache_skips_the_test_split(self, tmp_path, two_osc_config,
-                                               monkeypatch):
+                                               monkeypatch, in_process_workers):
         ds.synth_corpus(two_osc_config, 10, seed=0, out_dir=tmp_path / "corpus",
                         split_fractions=(0.7, 0.1, 0.2))
         manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
@@ -458,13 +493,154 @@ class TestGradientAccumulation:
                 for s in ("train", "valid", "test")] == [7, 1, 2]
         calls = []
         targets = sp.target_spectrograms
-        monkeypatch.setattr(sp, "target_spectrograms",
-                            lambda audio: calls.append(1) or targets(audio))
+        monkeypatch.setattr(sp, "target_spectrograms", lambda audio:
+                            calls.append(audio.tobytes()) or targets(audio))
         run = tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
                            patch_path=packaged_config("strings1_2"),
                            steps=1, batch=1, hidden_channels=8, blocks=2)
         tr.train(run, tmp_path / "out")
         assert len(calls) == 8
+        assert len(set(calls)) == 8  # no clip's targets are built twice
+
+
+def _worker_running(pid):
+    """Whether pid is a live (not zombie) training worker."""
+    proc = Path(f"/proc/{pid}")
+    try:
+        state = (proc / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        cmdline = (proc / "cmdline").read_bytes()
+    except FileNotFoundError:
+        return False
+    return state not in "ZX" and b"workers.serve()" in cmdline
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def six_clip_run(self, tmp_path, two_osc_config):
+        """6 train and 2 valid clips; batch 4 gives a short second batch."""
+        ds.synth_corpus(two_osc_config, 8, seed=2, out_dir=tmp_path / "corpus",
+                        split_fractions=(0.75, 0.25, 0.0))
+        return tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
+                            patch_path=packaged_config("strings1_2"),
+                            steps=4, batch=4, seed=3, checkpoint_every=2,
+                            hidden_channels=8, blocks=2)
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path,
+                                                       six_clip_run,
+                                                       monkeypatch):
+        manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
+        train_ids = [r.clip_id for r in manifest.split_records("train")]
+        assert len(train_ids) == 6 and manifest.split_records("valid")
+        begun = []
+        send = workers.Worker.send
+
+        def spy(worker, message):
+            if message[0] == "begin":
+                begun.append([r.clip_id for r in message[3]])
+            send(worker, message)
+
+        monkeypatch.setattr(workers.Worker, "send", spy)
+        outputs, pids = [], []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
+            begun.clear()
+            tr.train(six_clip_run, tmp_path / f"w{n}")
+            outputs.append({p.name: p.read_bytes()
+                            for p in (tmp_path / f"w{n}").iterdir()})
+            # each train clip's targets are held by exactly one worker
+            assert len(begun) == n
+            assert sorted(sum(begun, [])) == sorted(train_ids)
+            pids.append([w.proc.pid for w in workers._WORKERS[:n]])
+        # the workers outlive each call: a later call starts only the ones
+        # it adds
+        assert pids[1][:1] == pids[0] and pids[2][:2] == pids[1]
+        assert sorted(outputs[0]) == ["checkpoint_00000002.ckpt",
+                                      "checkpoint_00000004.ckpt", "loss_log.csv"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_a_killed_worker_makes_train_raise_naming_it(self, tmp_path,
+                                                         six_clip_run,
+                                                         monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        killed = []
+        adam = tr.adam_step
+
+        def kill_after_first_step(*args):
+            adam(*args)
+            if not killed:
+                killed.append(workers._WORKERS[1].proc.pid)
+                os.kill(killed[0], signal.SIGKILL)
+
+        monkeypatch.setattr(tr, "adam_step", kill_after_first_step)
+        raised = []
+
+        def run():
+            try:
+                tr.train(replace(six_clip_run, steps=50), tmp_path / "out")
+            except Exception as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "train hung on a dead worker"
+        (exc,) = raised
+        assert isinstance(exc, ChildProcessError)
+        assert f"training worker 1 (pid {killed[0]}) exited with code -9" in str(exc)
+        assert workers._WORKERS == []  # the rest of the pool was closed
+
+    def test_truncated_clip_raises_its_error_in_the_caller(self, tmp_path,
+                                                           six_clip_run):
+        manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
+        record = manifest.split_records("train")[-1]
+        path = tmp_path / "corpus" / record.audio_path
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError,
+                           match=f"clip cache {path} is truncated") as info:
+            tr.train(six_clip_run, tmp_path / "out")
+        assert "load_clip_audio" in str(info.value.__cause__)
+        assert not list((tmp_path / "out").glob("*.ckpt"))
+
+    def test_non_finite_loss_names_the_step_and_the_last_checkpoint(
+            self, tmp_path, six_clip_run):
+        run = replace(six_clip_run, checkpoint_every=1)
+        manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
+        record = ds.minibatch(manifest, "train", run.batch, seed=run.seed,
+                              epoch=0)[1][0]
+        path = tmp_path / "corpus" / record.audio_path
+        audio = np.fromfile(path, dtype="<f4")
+        audio[100] = np.nan
+        audio.tofile(path)
+        out = tmp_path / "out"
+        with pytest.raises(FloatingPointError) as info:
+            tr.train(run, out)
+        assert str(info.value) == ("non-finite loss at step 1; last checkpoint: "
+                                   f"{out / 'checkpoint_00000001.ckpt'}")
+
+    def test_an_unguarded_script_exits_0_and_leaves_no_worker(self, tmp_path):
+        # no `if __name__ == "__main__"`: a pool that re-imported __main__
+        # would train again in every worker
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from fmresynth import dataset as ds, fmsynth as fm\n"
+            "from fmresynth import training as tr, workers\n"
+            f"patch = {packaged_config('strings1_2')!r}\n"
+            "ds.synth_corpus(fm.load_config(patch), 2, seed=0, out_dir='corpus',\n"
+            "                split_fractions=(1.0, 0.0, 0.0))\n"
+            "run = tr.RunConfig(corpus_dir='corpus', patch_path=patch, steps=2,\n"
+            "                   batch=2, checkpoint_every=2, hidden_channels=8,\n"
+            "                   blocks=2)\n"
+            "tr.train(run, 'out')\n"
+            "print(*(w.proc.pid for w in workers._WORKERS))\n")
+        src = Path(tr.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+            text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == min(2, workers.cpu_count())
+        assert not [pid for pid in pids if _worker_running(pid)]
+        assert (tmp_path / "out" / "checkpoint_00000002.ckpt").exists()
 
 
 class TestOpSet:
