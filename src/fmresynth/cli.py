@@ -200,8 +200,8 @@ def _is_number(text):
 
 
 def _cmd_analyze(args):
-    if not 0 <= args.modindex < np.inf:
-        raise UsageError(f"--modindex must be finite and non-negative, "
+    if not 0 <= args.modindex <= fm.BESSEL_MAX_X:
+        raise UsageError(f"--modindex must be between 0 and {fm.BESSEL_MAX_X}, "
                          f"got {args.modindex}")
     if args.nmax < 0:
         raise UsageError(f"--nmax must be non-negative, got {args.nmax}")
@@ -273,28 +273,13 @@ def _cmd_resynth(args):
 
 
 def _cmd_eval(args):
-    ckpt_dir = Path(args.checkpoints)
     if args.grid == "imax":
-        cell_names = [f"imax_{name}" for name in tr.I_MAX_CHOICES]
+        names = [f"imax_{name}" for name in tr.I_MAX_CHOICES]
     else:
-        cell_names = list(ev.ABLATION_VARIANTS[args.instrument])
-    cells = []
-    for name in cell_names:
-        run_path = ckpt_dir / f"{name}.run.json"
-        ckpt_path = ckpt_dir / f"{name}.ckpt"
-        run = (tr.RunConfig.from_json(run_path.read_text())
-               if run_path.exists() else None)
-        cells.append({
-            "name": name,
-            "run": run,
-            "checkpoint": str(ckpt_path) if run is not None else None,
-            "corpus_dir": args.corpus,
-        })
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / f"grid_{args.grid}_{args.instrument}.csv"
+        names = ev.ABLATION_VARIANTS[args.instrument]
+    table_path = Path(args.out) / f"grid_{args.grid}_{args.instrument}.csv"
     try:
-        ev.run_grid(cells, table_path)
+        ev.run_grid(names, args.checkpoints, args.corpus, table_path)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"partial table written to {table_path}")

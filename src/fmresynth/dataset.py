@@ -59,11 +59,11 @@ class CorpusManifest:
     instrument: str
     seed: int
     records: list
-    split_fractions: tuple = SPLIT_FRACTIONS
-    silence_threshold_db: float = SILENCE_THRESHOLD_DB
-    confidence_threshold: float = 0.85
+    split_fractions: tuple
+    silence_threshold_db: float
+    confidence_threshold: float
+    version: int
     config_name: str = ""       # synthetic corpora: generating FmConfig
-    version: int = MANIFEST_VERSION
 
     def split_records(self, split):
         return [r for r in self.records if r.split == split]
@@ -173,11 +173,19 @@ def _as_stored(audio):
     return np.asarray(audio, dtype="<f4").astype(np.float64)
 
 
-def _save_clip_audio(path, audio):
-    np.asarray(audio, dtype="<f4").tofile(path)
+def _write_clip(out_dir, clip_id, audio, track, **record_fields):
+    """Cache a clip's audio, with its JSON sidecar, and its features in
+    out_dir; returns the clip's ClipRecord."""
+    audio_path = f"{clip_id}.f32"
+    features_path = f"{clip_id}.features.npz"
+    np.asarray(audio, dtype="<f4").tofile(out_dir / audio_path)
     meta = {"sample_rate": SAMPLE_RATE, "samples": int(len(audio)),
             "dtype": "float32le"}
-    Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    (out_dir / f"{audio_path}.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    ft.save_features(out_dir / features_path, track)
+    return ClipRecord(clip_id=clip_id, mean_confidence=float(track.confidence.mean()),
+                      audio_path=audio_path, features_path=features_path,
+                      **record_fields)
 
 
 def load_clip_audio(path):
@@ -207,26 +215,37 @@ def _check_keys(path, what, entry, required, optional=()):
                          f"and unknown keys {unknown}")
 
 
+# JSON value types accepted for each field annotation (a string here)
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+               "list": (list,), "tuple": (list,)}
+
+
+def from_json(cls, payload, path, what):
+    """The dataclass `cls` from the parsed JSON object `payload`: its fields
+    are the allowed keys, those without a default the required ones, and
+    each value must fit its field's annotation (a bool is no number).
+    Raises a ValueError naming `path` and `what` otherwise."""
+    known = {f.name: f for f in fields(cls)}
+    _check_keys(path, what, payload,
+                [n for n, f in known.items() if f.default is MISSING], known)
+    for name, value in payload.items():
+        kind = known[name].type
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ValueError(f"{path}: {what} key {name!r} must be {kind}, "
+                             f"got {value!r}")
+    return cls(**payload)
+
+
 def load_manifest(path):
-    payload = json.loads(Path(path).read_text())
-    manifest_keys = [f.name for f in fields(CorpusManifest)]
-    _check_keys(path, "manifest", payload,
-                set(manifest_keys) - {"config_name"}, manifest_keys)
-    if payload["version"] != MANIFEST_VERSION:
-        raise ValueError(f"{path}: manifest version {payload['version']} "
+    manifest = from_json(CorpusManifest, json.loads(Path(path).read_text()),
+                         path, "manifest")
+    if manifest.version != MANIFEST_VERSION:
+        raise ValueError(f"{path}: manifest version {manifest.version} "
                          f"!= {MANIFEST_VERSION}")
-    if not isinstance(payload["records"], list):
-        raise ValueError(f"{path}: manifest records is not a list")
-    record_fields = fields(ClipRecord)
-    for i, r in enumerate(payload["records"]):
-        _check_keys(path, f"record {i}", r,
-                    [f.name for f in record_fields if f.default is MISSING],
-                    [f.name for f in record_fields])
-    return CorpusManifest(**{
-        **payload,
-        "records": [ClipRecord(**r) for r in payload["records"]],
-        "split_fractions": tuple(payload["split_fractions"]),
-    })
+    manifest.records = [from_json(ClipRecord, r, path, f"record {i}")
+                        for i, r in enumerate(manifest.records)]
+    manifest.split_fractions = tuple(manifest.split_fractions)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +284,13 @@ def ingest(directory, instrument, seed, out_dir):
         raise ValueError(f"no clips survived preprocessing in {directory}")
 
     labels = assign_splits(len(kept), seed)
-    records = []
-    for (clip_id, source, clip, track), split in zip(kept, labels):
-        audio_path = f"{clip_id}.f32"
-        features_path = f"{clip_id}.features.npz"
-        _save_clip_audio(out_dir / audio_path, clip)
-        ft.save_features(out_dir / features_path, track)
-        records.append(ClipRecord(
-            clip_id=clip_id, source_file=source, instrument=instrument,
-            split=split, mean_confidence=float(track.confidence.mean()),
-            audio_path=audio_path, features_path=features_path,
-        ))
-    manifest = CorpusManifest(instrument=instrument, seed=seed, records=records,
-                              confidence_threshold=threshold)
+    records = [_write_clip(out_dir, clip_id, clip, track, source_file=source,
+                           instrument=instrument, split=split)
+               for (clip_id, source, clip, track), split in zip(kept, labels)]
+    manifest = CorpusManifest(
+        instrument=instrument, seed=seed, records=records,
+        split_fractions=SPLIT_FRACTIONS, silence_threshold_db=SILENCE_THRESHOLD_DB,
+        confidence_threshold=threshold, version=MANIFEST_VERSION)
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest
 
@@ -313,22 +326,17 @@ def synth_corpus(config, n_clips, seed, out_dir,
         track = ft.extract_features(audio)
 
         clip_id = f"synthetic_{c:04d}"
-        audio_path = f"{clip_id}.f32"
-        features_path = f"{clip_id}.features.npz"
         envelopes_path = f"{clip_id}.envelopes.npz"
-        _save_clip_audio(out_dir / audio_path, audio)
-        ft.save_features(out_dir / features_path, track)
+        records.append(_write_clip(
+            out_dir, clip_id, audio, track, source_file="<synthetic>",
+            instrument="synthetic", split=labels[c],
+            envelopes_path=envelopes_path))
         np.savez(out_dir / envelopes_path, envelopes=env, f0=f0)
-        records.append(ClipRecord(
-            clip_id=clip_id, source_file="<synthetic>", instrument="synthetic",
-            split=labels[c], mean_confidence=float(track.confidence.mean()),
-            audio_path=audio_path, features_path=features_path,
-            envelopes_path=envelopes_path,
-        ))
     manifest = CorpusManifest(
         instrument="synthetic", seed=seed, records=records,
         split_fractions=tuple(split_fractions),
-        confidence_threshold=0.0, config_name=config.name,
+        silence_threshold_db=SILENCE_THRESHOLD_DB, confidence_threshold=0.0,
+        version=MANIFEST_VERSION, config_name=config.name,
     )
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest

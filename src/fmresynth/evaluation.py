@@ -34,21 +34,12 @@ ABLATION_VARIANTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     per_clip: list            # list of metric dicts
-    mss: float = 0.0          # aggregates: means over clips
-    log_spectral_distance_db: float = 0.0
-    f0_rmse_cents: float = 0.0
-
-    def aggregate(self):
-        if self.per_clip:
-            self.mss = float(np.mean([m["mss"] for m in self.per_clip]))
-            self.log_spectral_distance_db = float(
-                np.mean([m["lsd_db"] for m in self.per_clip]))
-            self.f0_rmse_cents = float(
-                np.mean([m["f0_rmse_cents"] for m in self.per_clip]))
-        return self
+    mss: float                # means over clips
+    log_spectral_distance_db: float
+    f0_rmse_cents: float
 
 
 def resynthesize(run, checkpoint_path, audio, track=None):
@@ -133,29 +124,35 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
             out_dir.mkdir(parents=True, exist_ok=True)
             ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
             ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
-    return EvalReport(per_clip).aggregate()
+    return EvalReport(per_clip, *(float(np.mean([m[key] for m in per_clip]))
+                                  for key in ("mss", "lsd_db", "f0_rmse_cents")))
 
 
-def run_grid(cells, out_path=None):
-    """Evaluate a list of grid cells into a results table.
-
-    cells: list of dicts with keys name, run (RunConfig), checkpoint,
-    corpus_dir. A missing checkpoint marks the row absent; the function
-    raises after finishing so callers can exit nonzero.
-    """
-    if not cells:
+def run_grid(names, checkpoint_dir, corpus_dir, out_path=None):
+    """Evaluate the named grid cells into a results table: cell <name> is
+    <name>.run.json and <name>.ckpt in checkpoint_dir, scored on corpus_dir's
+    test split. A cell missing either file is marked absent, and the
+    function raises after finishing so callers can exit nonzero."""
+    if not names:
         raise ValueError("empty variant list")
     rows = []
     missing = []
-    for cell in cells:
-        ckpt = cell.get("checkpoint")
-        if ckpt is None or not Path(ckpt).exists():
-            rows.append({"name": cell["name"], "status": "absent",
+    for name in names:
+        run_path = Path(checkpoint_dir) / f"{name}.run.json"
+        ckpt = Path(checkpoint_dir) / f"{name}.ckpt"
+        run = None
+        if run_path.exists():
+            try:
+                run = tr.RunConfig.from_json(run_path.read_text())
+            except ValueError as exc:
+                raise ValueError(f"{run_path}: {exc}") from None
+        if run is None or not ckpt.exists():
+            rows.append({"name": name, "status": "absent",
                          "mss": "", "lsd_db": "", "f0_rmse_cents": ""})
-            missing.append(cell["name"])
+            missing.append(name)
             continue
-        report = evaluate_checkpoint(cell["run"], ckpt, cell["corpus_dir"])
-        rows.append({"name": cell["name"], "status": "ok",
+        report = evaluate_checkpoint(run, ckpt, corpus_dir)
+        rows.append({"name": name, "status": "ok",
                      "mss": f"{report.mss:.6g}",
                      "lsd_db": f"{report.log_spectral_distance_db:.6g}",
                      "f0_rmse_cents": f"{report.f0_rmse_cents:.6g}"})
@@ -169,6 +166,7 @@ def run_grid(cells, out_path=None):
 def write_table(rows, out_path):
     """CSV plus an aligned text rendering next to it."""
     out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     fields = ["name", "status", "mss", "lsd_db", "f0_rmse_cents"]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)

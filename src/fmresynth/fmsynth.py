@@ -273,6 +273,9 @@ def _validate_env_bounds(config, values, i_max):
 # ---------------------------------------------------------------------------
 # Bessel-series oracle
 
+BESSEL_MAX_X = 16.0  # beyond it the series loses digits to cancellation
+
+
 def bessel_j(n, x):
     """J_n(x) by the truncated power series, |x| <= 16, abs error < 1e-10.
 
@@ -282,6 +285,8 @@ def bessel_j(n, x):
         raise ValueError("n must be a non-negative integer")
     n = int(n)
     x = float(x)
+    if not abs(x) <= BESSEL_MAX_X:
+        raise ValueError(f"|x| must be at most {BESSEL_MAX_X}, got {x}")
     half = x / 2.0
     # term for m = 0: half^n / n!
     term = 1.0

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,6 @@ LR_DECAY_EVERY = 10000
 CLIP_NORM = 2.0
 
 I_MAX_CHOICES = {"2": 2.0, "2pi": 2.0 * np.pi, "4pi": 4.0 * np.pi}
-
-# JSON value types accepted for each RunConfig field annotation
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -82,21 +79,7 @@ class RunConfig:
     def from_json(cls, text):
         """Parse to_json output; raises ValueError on a missing or unknown
         key or a value of the wrong type."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("RunConfig JSON is not an object")
-        known = {f.name: f for f in fields(cls)}
-        missing = sorted(n for n, f in known.items()
-                         if f.default is MISSING and n not in payload)
-        unknown = sorted(payload.keys() - known.keys())
-        if missing or unknown:
-            raise ValueError(f"RunConfig JSON has missing keys {missing} "
-                             f"and unknown keys {unknown}")
-        for name, value in payload.items():
-            kind = known[name].type  # annotations are strings here
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-                raise ValueError(f"RunConfig.{name} must be {kind}, got {value!r}")
-        return cls(**payload)
+        return ds.from_json(cls, json.loads(text), "RunConfig JSON", "run config")
 
 
 def lr_at(step):
@@ -369,7 +352,7 @@ def train(run, out_dir, resume_from=None):
         log_path = out_dir / "loss_log.csv"
         rows = (log_path.read_text().splitlines(True)[1:]
                 if start_step > 0 and log_path.exists() else [])
-        last_ckpt = None
+        last_ckpt = resume_from
         with open(log_path, "w") as logfh:
             logfh.write("step,lr,train_loss,valid_loss\n")
             logfh.writelines(r for r in rows if int(r.split(",")[0]) < start_step)
@@ -385,7 +368,7 @@ def train(run, out_dir, resume_from=None):
                              if owner[r.clip_id] is worker]
                     if clips:
                         worker.send(("step", values, step, len(batch), clips))
-                grads = dict.fromkeys(all_params)
+                grads = None
                 total = 0.0
                 for record in batch:
                     value, clip_grads = owner[record.clip_id].recv()
@@ -394,13 +377,9 @@ def train(run, out_dir, resume_from=None):
                             f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
                         )
                     total += value
-                    for name, g in clip_grads.items():
-                        if g is not None:
-                            grads[name] = g if grads[name] is None else grads[name] + g
+                    grads = (clip_grads if grads is None else
+                             {name: g + clip_grads[name] for name, g in grads.items()})
                 train_loss = total * (1.0 / len(batch))
-                grads = {name: (g if g is not None
-                                else np.zeros_like(all_params[name].values))
-                         for name, g in grads.items()}
                 grads = clip_gradients(grads)
                 lr = lr_at(step)
                 adam_step(all_params, grads, adam, lr)
@@ -420,7 +399,7 @@ def train(run, out_dir, resume_from=None):
     return last_ckpt
 
 
-def _handle(state, message, reply):
+def handle_request(state, message, reply):
     """Answer one request in a worker process (see ``workers``).
 
     ("begin", cwd, run, records): build the run's model and the records'

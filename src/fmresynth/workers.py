@@ -11,7 +11,7 @@ for that request.
 
 Workers start on first use and live as long as the interpreter: they are
 closed from ``atexit``, and a parent that dies closes their stdin, which
-ends them too. What a request computes is ``training._handle``.
+ends them too. What a request computes is ``training.handle_request``.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def close_all():
 
 def serve():
     """A worker's main loop: answer requests on stdin until it closes."""
-    from .training import _handle
+    from .training import handle_request
 
     # Ctrl-C reaches the whole process group; the parent decides
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -156,7 +156,7 @@ def serve():
         except EOFError:
             break
         try:
-            _handle(state, message, outbox.put)
+            handle_request(state, message, outbox.put)
         except Exception as exc:
             text = traceback.format_exc()
             try:

@@ -76,6 +76,7 @@ class TestBadNumbersAreUsageErrors:
                       "--nclips", "0")),
         ("--nclips", ("prepare", "--synthetic", "--patch", "strings1_2",
                       "--nclips", "-2")),
+        ("--modindex", ("analyze", "--modindex", "40")),
     ])
     def test_exits_1_naming_the_flag(self, flag, argv, tmp_path, capsys):
         argv = [packaged_config(a) if prev == "--patch" else a
@@ -384,3 +385,81 @@ class TestTrainAndDownstream:
                       "--corpus", str(workspace / "corpus"))):
             assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
             assert "RunConfig" in capsys.readouterr().err
+
+    def test_eval_names_the_malformed_run_json(self, workspace, tmp_path,
+                                               capsys):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        payload = json.loads((workspace / "run.json").read_text())
+        del payload["patch_path"]
+        bad = ckpts / "strings1_2x2.run.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("eval", "--grid", "ablation", "--instrument", "violin",
+                       "--checkpoints", str(ckpts),
+                       "--corpus", str(workspace / "corpus"),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+        assert "missing keys ['patch_path']" in err[0]
+
+    def test_resume_from_the_final_checkpoint_returns_it(self, workspace,
+                                                         tmp_path, capsys):
+        args = ("train", "--config", str(workspace / "run.json"),
+                "--steps", "2", "--hidden", "8", "--blocks", "1",
+                "--out", str(tmp_path))
+        assert run_cli(*args) == 0
+        final = tmp_path / "checkpoint_00000002.ckpt"
+        log = (tmp_path / "loss_log.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli(*args, "--resume", str(final)) == 0
+        assert capsys.readouterr().out == f"final checkpoint: {final}\n"
+        assert (tmp_path / "loss_log.csv").read_bytes() == log
+
+
+class TestManifestFields:
+    """lint reads the manifest through the typed reader: a wrong-typed or
+    missing field is one error line, exit 2, and the key sets are fixed."""
+
+    def write(self, workspace, tmp_path, change):
+        payload = json.loads((workspace / "corpus" / "manifest.json").read_text())
+        change(payload)
+        path = tmp_path / "corpus" / "manifest.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("manifest", "split_fractions", 5),
+        ("record", "mean_confidence", "x"),
+        ("manifest", "seed", True),
+    ])
+    def test_wrong_typed_field_exits_2_naming_it(self, workspace, tmp_path,
+                                                 capsys, where, key, value):
+        def change(payload):
+            entry = payload["records"][0] if where == "record" else payload
+            entry[key] = value
+
+        path = self.write(workspace, tmp_path, change)
+        assert run_cli("lint", "--corpus", str(path.parent)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert str(path) in err[0] and repr(key) in err[0]
+
+    @pytest.mark.parametrize("key", ["version", "silence_threshold_db"])
+    def test_manifest_without_a_required_key_is_refused(
+            self, workspace, tmp_path, capsys, key):
+        path = self.write(workspace, tmp_path, lambda p: p.pop(key))
+        assert run_cli("lint", "--corpus", str(path.parent)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"missing keys [{key!r}]" in err
+
+    def test_config_name_and_envelopes_path_may_be_absent(self, workspace,
+                                                          tmp_path):
+        def change(payload):
+            del payload["config_name"]
+            del payload["records"][0]["envelopes_path"]
+
+        manifest = ds.load_manifest(self.write(workspace, tmp_path, change))
+        assert manifest.config_name == ""
+        assert manifest.records[0].envelopes_path == ""
+        assert manifest.records[1].envelopes_path

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,23 +119,21 @@ class TestGrids:
     def test_missing_checkpoint_marks_absent_and_raises(self, trained,
                                                         tmp_path):
         run, ckpt, root = trained
-        cells = [
-            {"name": "present", "run": run, "checkpoint": str(ckpt),
-             "corpus_dir": str(root / "corpus")},
-            {"name": "missing", "run": None, "checkpoint": None,
-             "corpus_dir": str(root / "corpus")},
-        ]
+        cells = tmp_path / "cells"
+        cells.mkdir()
+        (cells / "present.run.json").write_text(run.to_json())
+        (cells / "present.ckpt").write_bytes(Path(ckpt).read_bytes())
         table = tmp_path / "grid.csv"
         with pytest.raises(FileNotFoundError, match="missing"):
-            ev.run_grid(cells, table)
+            ev.run_grid(["present", "missing"], cells, root / "corpus", table)
         text = table.read_text()
         assert "present,ok" in text
         assert "missing,absent" in text
         assert table.with_suffix(".txt").exists()
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ev.run_grid([])
+            ev.run_grid([], tmp_path, tmp_path)
 
     def test_variant_tables_cover_instruments(self):
         assert set(ev.ABLATION_VARIANTS) == {"flute", "violin", "trumpet"}

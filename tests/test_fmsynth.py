@@ -111,7 +111,7 @@ class TestConfigFiles:
 class TestBesselOracle:
     def test_matches_scipy(self):
         for n in range(4):
-            for x in (0.0, 0.5, 1.0, 1.83, 2.4, 5.0, 12.0):
+            for x in (0.0, 0.5, 1.0, 1.83, 2.4, 5.0, 12.0, 16.0):
                 assert abs(fm.bessel_j(n, x) - scipy.special.jv(n, x)) < 1e-10
 
     def test_first_zero_of_j0(self):
@@ -125,6 +125,12 @@ class TestBesselOracle:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             fm.bessel_j(-1, 1.0)
+
+    @pytest.mark.parametrize("x", [16.5, -40.0, float("nan")])
+    def test_rejects_arguments_beyond_the_series_range(self, x):
+        # at 40 the series gives J_0 = -0.09012 against a true 0.00737
+        with pytest.raises(ValueError, match="at most 16"):
+            fm.bessel_j(0, x)
 
 
 class TestRender:

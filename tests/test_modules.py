@@ -1,0 +1,47 @@
+import ast
+from pathlib import Path
+
+import fmresynth
+
+SRC = Path(fmresynth.__file__).parent
+
+
+def private_reads(path):
+    """(line, name) of every `_`-prefixed name that the module at `path`
+    imports from, or reads off, another module of the package."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules = set()  # local names bound to package modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("fmresynth")):
+            for alias in node.names:
+                if node.module is None or node.module == "fmresynth":
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("fmresynth") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {path.name: private_reads(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_check_sees_both_forms(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import training as tr\n"
+                    "from .training import _handle, Model\n"
+                    "tr._dropout_seed(0, 0, 0)\n"
+                    "tr.__file__\n")
+    assert private_reads(path) == [(2, "training._handle"),
+                                   (3, "tr._dropout_seed")]

@@ -39,7 +39,7 @@ class InProcessWorker:
 
     def send(self, message):
         try:
-            tr._handle(self.state, pickle.loads(pickle.dumps(message)),
+            tr.handle_request(self.state, pickle.loads(pickle.dumps(message)),
                        self.replies.append)
         except Exception as exc:
             self.replies.append(("error", exc, ""))
