@@ -238,7 +238,7 @@ _RUN_OVERRIDES = {
 def _load_run(args):
     if not args.config:
         raise UsageError("train requires --config with a RunConfig JSON")
-    run = tr.RunConfig.from_json(Path(args.config).read_text())
+    run = tr.RunConfig.from_json(Path(args.config).read_text(), args.config)
     overrides = {field: getattr(args, flag)
                  for flag, field in _RUN_OVERRIDES.items()
                  if getattr(args, flag) is not None}
@@ -258,7 +258,7 @@ def _cmd_train(args):
 
 
 def _cmd_resynth(args):
-    run = tr.RunConfig.from_json(Path(args.run).read_text())
+    run = tr.RunConfig.from_json(Path(args.run).read_text(), args.run)
     audio, rate = ds.read_wav(args.input)
     audio = ds.resample_to(audio, rate)
     # trim to a whole number of frames

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import wave
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -23,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import features as ft
 from . import fmsynth as fm
+from . import workers
 from .features import HOP, SAMPLE_RATE
 
 log = logging.getLogger(__name__)
@@ -190,7 +192,7 @@ def _write_clip(out_dir, clip_id, audio, track, **record_fields):
 
 def load_clip_audio(path):
     sidecar = Path(str(path) + ".json")
-    meta = json.loads(sidecar.read_text())
+    meta = parse_json(sidecar.read_text(), sidecar, "clip sidecar")
     _check_keys(sidecar, "clip sidecar", meta, ("samples",), ("sample_rate", "dtype"))
     audio = np.fromfile(path, dtype="<f4").astype(np.float64)
     if len(audio) != meta["samples"]:
@@ -215,6 +217,15 @@ def _check_keys(path, what, entry, required, optional=()):
                          f"and unknown keys {unknown}")
 
 
+def parse_json(text, path, what):
+    """json.loads, with a ValueError naming `path` and `what` for text that
+    is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {what} is not valid JSON ({exc})") from None
+
+
 # JSON value types accepted for each field annotation (a string here)
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
                "list": (list,), "tuple": (list,)}
@@ -237,7 +248,8 @@ def from_json(cls, payload, path, what):
 
 
 def load_manifest(path):
-    manifest = from_json(CorpusManifest, json.loads(Path(path).read_text()),
+    manifest = from_json(CorpusManifest,
+                         parse_json(Path(path).read_text(), path, "manifest"),
                          path, "manifest")
     if manifest.version != MANIFEST_VERSION:
         raise ValueError(f"{path}: manifest version {manifest.version} "
@@ -251,34 +263,49 @@ def load_manifest(path):
 # ---------------------------------------------------------------------------
 # ingestion
 
+def prepare_wav(wav_path):
+    """One wav's part of ``ingest``: ([(clip index, stored clip,
+    FeatureTrack), ...], None), or ([], the warning that says why it gives
+    no clips)."""
+    try:
+        audio, rate = read_wav(wav_path)
+    except Exception as exc:  # unreadable file: skip, keep going
+        return [], f"skipping unreadable file {wav_path}: {exc}"
+    clips = chop_clips(strip_silence(resample_to(audio, rate)))
+    if not clips:
+        return [], f"no audio survived silence stripping in {wav_path}"
+    stored = [_as_stored(clip) for clip in clips]
+    return [(i, clip, ft.extract_features(clip))
+            for i, clip in enumerate(stored)], None
+
+
 def ingest(directory, instrument, seed, out_dir):
-    """Preprocess a directory of wav files into a cached, split corpus."""
+    """Preprocess a directory of wav files into a cached, split corpus.
+
+    Each wav runs ``prepare_wav`` in a worker process (see ``workers``),
+    wav j of the sorted list in worker j mod n, with one worker per core up
+    to the number of wavs. The replies are read here in sorted order, so
+    the corpus does not depend on n.
+    """
     directory = Path(directory)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threshold = CONFIDENCE_THRESHOLDS.get(instrument, 0.85)
+    wav_paths = sorted(directory.glob("*.wav"))
 
     kept = []  # (clip_id, source, audio, track)
-    for wav_path in sorted(directory.glob("*.wav")):
-        try:
-            audio, rate = read_wav(wav_path)
-        except Exception as exc:  # unreadable file: skip, keep going
-            log.warning("skipping unreadable file %s: %s", wav_path, exc)
-            continue
-        audio = resample_to(audio, rate)
-        audio = strip_silence(audio)
-        clips = chop_clips(audio)
-        if not clips:
-            log.warning("no audio survived silence stripping in %s", wav_path)
-            continue
-        for i, clip in enumerate(clips):
-            clip = _as_stored(clip)
-            track = ft.extract_features(clip)
-            mean_conf = float(track.confidence.mean())
-            if mean_conf < threshold:
-                continue
-            clip_id = f"{wav_path.stem}_{i:04d}"
-            kept.append((clip_id, wav_path.name, clip, track))
+    n = min(workers.cpu_count(), len(wav_paths))
+    with workers.pool(n) as pool:
+        for k, worker in enumerate(pool):
+            worker.send(("ingest", os.getcwd(), wav_paths[k::n]))
+        for j, wav_path in enumerate(wav_paths):
+            clips, warning = pool[j % n].recv()
+            if warning:
+                log.warning("%s", warning)
+            for i, clip, track in clips:
+                if float(track.confidence.mean()) >= threshold:
+                    kept.append((f"{wav_path.stem}_{i:04d}", wav_path.name,
+                                 clip, track))
 
     if not kept:
         raise ValueError(f"no clips survived preprocessing in {directory}")

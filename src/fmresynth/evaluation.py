@@ -10,6 +10,7 @@ published numbers.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from . import dataset as ds
 from . import features as ft
 from . import spectral as sp
 from . import training as tr
+from . import workers
 
 LSD_WINDOW = 1024
 LSD_HOP = 256
@@ -104,26 +106,44 @@ def compute_metrics(target, prediction, target_track=None):
     }
 
 
+def score_clip(model, corpus_dir, record):
+    """(metric dict, resynthesis) of one cached clip under ``model``."""
+    audio, track, _env = ds.load_clip(corpus_dir, record)
+    pred = _resynthesize(model, audio, track)
+    return compute_metrics(audio, pred, track), pred
+
+
 def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
                         out_dir=None):
-    """EvalReport over a corpus split; optionally writes resynthesized wavs."""
+    """EvalReport over a corpus split; optionally writes resynthesized wavs.
+
+    The checkpoint is loaded here, once. Its weights go to worker processes
+    (see ``workers``), one per core up to the number of clips, and record k
+    of the clip-id-sorted split runs ``score_clip`` in worker k mod n. The
+    replies are read here in that order, so the report does not depend on n.
+    """
     manifest = ds.load_manifest(Path(corpus_dir) / "manifest.json")
     records = sorted(manifest.split_records(split), key=lambda r: r.clip_id)
     if not records:
         raise ValueError(f"split {split!r} is empty")
     model = tr.Model.load(run, checkpoint_path)
+    weights = {name: p.values for name, p in model.named_params().items()}
     per_clip = []
-    for record in records:
-        audio, track, _env = ds.load_clip(corpus_dir, record)
-        pred = _resynthesize(model, audio, track)
-        metrics = compute_metrics(audio, pred, track)
-        metrics["clip_id"] = record.clip_id
-        per_clip.append(metrics)
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
-            ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
+    n = min(workers.cpu_count(), len(records))
+    with workers.pool(n) as pool:
+        for k, worker in enumerate(pool):
+            worker.send(("evaluate", os.getcwd(), run, weights, corpus_dir,
+                         records[k::n]))
+        for k, record in enumerate(records):
+            metrics, pred = pool[k % n].recv()
+            metrics["clip_id"] = record.clip_id
+            per_clip.append(metrics)
+            if out_dir is not None:
+                out_dir = Path(out_dir)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                audio = ds.load_clip_audio(Path(corpus_dir) / record.audio_path)
+                ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
+                ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
     return EvalReport(per_clip, *(float(np.mean([m[key] for m in per_clip]))
                                   for key in ("mss", "lsd_db", "f0_rmse_cents")))
 
@@ -142,10 +162,7 @@ def run_grid(names, checkpoint_dir, corpus_dir, out_path=None):
         ckpt = Path(checkpoint_dir) / f"{name}.ckpt"
         run = None
         if run_path.exists():
-            try:
-                run = tr.RunConfig.from_json(run_path.read_text())
-            except ValueError as exc:
-                raise ValueError(f"{run_path}: {exc}") from None
+            run = tr.RunConfig.from_json(run_path.read_text(), run_path)
         if run is None or not ckpt.exists():
             rows.append({"name": name, "status": "absent",
                          "mss": "", "lsd_db": "", "f0_rmse_cents": ""})

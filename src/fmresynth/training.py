@@ -76,10 +76,12 @@ class RunConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text):
-        """Parse to_json output; raises ValueError on a missing or unknown
+    def from_json(cls, text, path="RunConfig JSON"):
+        """Parse to_json output, read from the file `path`; raises a
+        ValueError naming it on text that is not JSON, a missing or unknown
         key or a value of the wrong type."""
-        return ds.from_json(cls, json.loads(text), "RunConfig JSON", "run config")
+        return ds.from_json(cls, ds.parse_json(text, path, "RunConfig"), path,
+                            "RunConfig")
 
 
 def lr_at(step):
@@ -405,10 +407,29 @@ def handle_request(state, message, reply):
     ("begin", cwd, run, records): build the run's model and the records'
     targets, one reply per record. ("step", weights, step, batch size,
     [(batch position, clip id), ...]): per clip, reply (loss, {name: grad
-    of loss / batch size, or None}). ("end",): drop the call's state.
+    of loss / batch size, or None}). ("ingest", cwd, wav paths): per wav,
+    reply ``dataset.prepare_wav``'s (clips, warning). ("evaluate", cwd,
+    run, weights, corpus dir, records): per record, reply
+    ``evaluation.score_clip``'s (metrics, prediction) under those weights.
+    ("end",): drop the call's state. Requests that name files first change
+    to the caller's working directory.
     """
     kind, *args = message
-    if kind == "begin":
+    if kind == "ingest":
+        cwd, wav_paths = args
+        os.chdir(cwd)
+        for path in wav_paths:
+            reply(("ok", *ds.prepare_wav(path)))
+    elif kind == "evaluate":
+        from . import evaluation as ev  # imported here: it imports this module
+        cwd, run, weights, corpus_dir, records = args
+        os.chdir(cwd)
+        model = Model.build(run)
+        for name, p in model.named_params().items():
+            p.values = weights[name]
+        for r in records:
+            reply(("ok", *ev.score_clip(model, corpus_dir, r)))
+    elif kind == "begin":
         cwd, run, records = args
         os.chdir(cwd)
         state.clear()

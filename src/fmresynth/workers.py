@@ -1,4 +1,6 @@
-"""Persistent worker processes that compute the clips of a training step.
+"""Persistent worker processes for work that is independent per clip or
+per wav: the clips of a training step, ``prepare``'s wavs and the clips
+``evaluate_checkpoint`` scores.
 
 Each worker is ``python -c`` started with ``subprocess`` (never a
 ``multiprocessing`` start method, which re-imports an unguarded
@@ -79,7 +81,7 @@ class Worker:
         return unpack(reply)
 
     def _exited(self):
-        name = f"training worker {self.index} (pid {self.proc.pid})"
+        name = f"worker {self.index} (pid {self.proc.pid})"
         try:
             code = self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:

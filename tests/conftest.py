@@ -1,8 +1,14 @@
+import contextlib
+import pickle
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
-from importlib import resources
 
 from fmresynth import fmsynth as fm
+from fmresynth import training as tr
+from fmresynth import workers
 
 
 def packaged_config(name):
@@ -31,3 +37,49 @@ def piecewise_envelopes(config, t_frames, seed, i_max=2.0, lo=0.2, hi=0.8,
         pts = rng.uniform(lo, hi, size=breakpoints) * a_max[k]
         env[:, k] = np.interp(np.arange(t_frames), grid, pts)
     return env
+
+
+class InProcessWorker:
+    """Answers worker requests in this process, so that a patch made here
+    reaches the code a worker runs; each request still goes through pickle."""
+
+    def __init__(self):
+        self.state, self.replies = {}, []
+
+    def send(self, message):
+        try:
+            tr.handle_request(self.state, pickle.loads(pickle.dumps(message)),
+                              self.replies.append)
+        except Exception as exc:
+            self.replies.append(("error", exc, ""))
+
+    def recv(self):
+        return workers.unpack(self.replies.pop(0))
+
+
+@contextlib.contextmanager
+def in_process_pool(n):
+    """A stand-in for ``workers.pool``: n workers that run in this process."""
+    yield [InProcessWorker() for _ in range(n)]
+
+
+@pytest.fixture
+def in_process_workers(monkeypatch):
+    monkeypatch.setattr(workers, "pool", in_process_pool)
+
+
+def worker_running(pid):
+    """Whether pid is a live (not zombie) worker process."""
+    proc = Path(f"/proc/{pid}")
+    try:
+        state = (proc / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        cmdline = (proc / "cmdline").read_bytes()
+    except (FileNotFoundError, ProcessLookupError):  # it has exited
+        return False
+    return state not in "ZX" and b"workers.serve()" in cmdline
+
+
+def running_workers():
+    """Pids of every live worker process that /proc lists."""
+    return {int(p.name) for p in Path("/proc").iterdir()
+            if p.name.isdigit() and worker_running(int(p.name))}

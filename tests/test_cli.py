@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,26 @@ from fmresynth import dataset as ds
 from fmresynth import features as ft
 from fmresynth import training as tr
 
-from conftest import packaged_config
+from conftest import packaged_config, running_workers
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def run_cli_process(*argv):
+    """`python -m fmresynth.cli *argv` in a process of its own, returned as
+    soon as that process exits. Its output goes to files, not pipes, so a
+    worker process it leaves running cannot hold the call open."""
+    src = Path(cli.__file__).resolve().parents[1]
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmresynth.cli", *argv], stdout=out,
+            stderr=err, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        out.seek(0)
+        err.seek(0)
+        return subprocess.CompletedProcess(proc.args, proc.returncode,
+                                           out.read(), err.read())
 
 
 def dir_digest(root):
@@ -45,6 +62,19 @@ class TestExitCodes:
         assert run_cli("lint", "--corpus", str(tmp_path),
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("command, name, what", [
+        ("lint", "manifest.json", "manifest"), ("train", "run.json", "RunConfig")])
+    def test_file_that_is_not_json_exits_2_naming_it(self, tmp_path, capsys,
+                                                     command, name, what):
+        path = tmp_path / name
+        path.write_text("{not json")
+        flag, value = (("--corpus", tmp_path) if command == "lint"
+                       else ("--config", path))
+        assert run_cli(command, flag, str(value),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {path}: {what} is not valid JSON ("), err
 
     def test_wav_into_missing_directory_prints_one_error_line(self, tmp_path):
         # wave.open on a path it cannot create used to leave a half-built
@@ -235,7 +265,6 @@ class TestTrainAndDownstream:
 
     def test_resynth_wrong_run_is_runtime_error(self, workspace, tmp_path):
         run = tr.RunConfig.from_json((workspace / "run.json").read_text())
-        from dataclasses import replace
         other = replace(run, seed=42)
         bad = tmp_path / "bad.json"
         bad.write_text(other.to_json())
@@ -269,7 +298,6 @@ class TestTrainAndDownstream:
     def test_train_keeps_runconfig_seed_unless_given(self, workspace,
                                                      tmp_path):
         run = tr.RunConfig.from_json((workspace / "run.json").read_text())
-        from dataclasses import replace
         seeded = tmp_path / "seeded.json"
         seeded.write_text(replace(run, seed=5).to_json())
         small = ("train", "--config", str(seeded), "--steps", "1",
@@ -366,6 +394,56 @@ class TestTrainAndDownstream:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"error: clip cache {path} is truncated"]
+
+    def stage_cell(self, workspace, ckpts):
+        """Cell strings1_2 of the violin ablation grid in ckpts: an
+        untrained small decoder."""
+        run = replace(tr.RunConfig.from_json((workspace / "run.json").read_text()),
+                      hidden_channels=8, blocks=2)
+        model = tr.Model.build(run)
+        ckpts.mkdir()
+        (ckpts / "strings1_2.run.json").write_text(run.to_json())
+        tr.save_checkpoint(ckpts / "strings1_2.ckpt", run, 0, model.params,
+                           model.reverb_params, tr.AdamState())
+
+    def test_eval_on_a_truncated_clip_exits_2_with_one_error_line(
+            self, workspace, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        manifest = ds.load_manifest(corpus / "manifest.json")
+        path = corpus / manifest.split_records("test")[-1].audio_path
+        path.write_bytes(path.read_bytes()[:-4])
+        self.stage_cell(workspace, tmp_path / "ckpts")
+        before = running_workers()
+        proc = run_cli_process(
+            "eval", "--grid", "ablation", "--instrument", "violin",
+            "--checkpoints", str(tmp_path / "ckpts"), "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: clip cache {path} is truncated"]
+        assert running_workers() <= before
+
+    def test_prepare_and_eval_leave_no_worker(self, workspace, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        t = np.arange(5 * 16000) / 16000
+        for name, freq in (("a", 330.0), ("b", 440.0)):
+            ds.write_wav(src / f"{name}.wav", 0.8 * np.sin(2 * np.pi * freq * t))
+        self.stage_cell(workspace, tmp_path / "ckpts")
+        before = running_workers()
+        proc = run_cli_process("prepare", "--input", str(src), "--instrument",
+                               "synthetic", "--out", str(tmp_path / "corpus"))
+        assert proc.returncode == 0, proc.stderr
+        assert running_workers() <= before
+        proc = run_cli_process(
+            "eval", "--grid", "ablation", "--instrument", "violin",
+            "--checkpoints", str(tmp_path / "ckpts"),
+            "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2  # the grid's other cells are absent
+        table = (tmp_path / "out" / "grid_ablation_violin.csv").read_text()
+        assert "strings1_2,ok" in table
+        assert running_workers() <= before
 
     @pytest.mark.parametrize("change", [{"bogus": 1}, {"steps": "10"}])
     def test_malformed_run_json_is_runtime_error(self, workspace, tmp_path,

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 
 from fmresynth import dataset as ds
 from fmresynth import features as ft
+from fmresynth import workers
+
+from conftest import in_process_pool
 
 
 # manifest.json of synth_corpus(strings1_2, 2 clips, seed=3), with the two
@@ -193,6 +197,51 @@ class TestIngest:
         src.mkdir()
         with pytest.raises(ValueError):
             ds.ingest(src, "violin", seed=0, out_dir=tmp_path / "c")
+
+    @pytest.fixture
+    def mixed_wavs(self, tmp_path):
+        """Three readable wavs of unequal length, one of them stereo at
+        44.1 kHz and one ending in noise that the violin confidence filter
+        drops, then an unreadable one and one all silence."""
+        from scipy.io import wavfile
+        src = tmp_path / "src"
+        src.mkdir()
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 4 * 16000)
+        ds.write_wav(src / "a.wav", np.concatenate([tone(330.0, 4.5), noise]))
+        ds.write_wav(src / "b.wav", tone(440.0, 5.0))
+        mono = 0.5 * tone(262.0, 13.0, sr=44100)
+        wavfile.write(src / "c.wav", 44100, (np.stack(
+            [0.9 * mono, 1.1 * mono], axis=1) * 32767).astype(np.int16))
+        (src / "d.wav").write_bytes(b"not a wav")
+        ds.write_wav(src / "e.wav", np.zeros(6 * 16000))
+        return src
+
+    def test_corpus_does_not_depend_on_the_worker_count(self, mixed_wavs,
+                                                        tmp_path, monkeypatch):
+        def prepare(out):
+            ds.ingest(mixed_wavs, "violin", seed=0, out_dir=out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        with monkeypatch.context() as m:
+            m.setattr(workers, "pool", in_process_pool)
+            reference = prepare(tmp_path / "reference")
+        manifest = ds.load_manifest(tmp_path / "reference" / "manifest.json")
+        assert [r.clip_id for r in manifest.records] == [
+            "a_0000", "b_0000", "c_0000", "c_0001", "c_0002"]
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
+            assert prepare(tmp_path / f"w{n}") == reference
+
+    def test_skipped_wavs_are_logged_by_the_caller(self, mixed_wavs, tmp_path,
+                                                   monkeypatch, caplog):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        with caplog.at_level(logging.WARNING, logger="fmresynth.dataset"):
+            ds.ingest(mixed_wavs, "violin", seed=0, out_dir=tmp_path / "c")
+        unreadable, silent = [r.getMessage() for r in caplog.records]
+        assert unreadable.startswith(
+            f"skipping unreadable file {mixed_wavs / 'd.wav'}: ")
+        assert silent == ("no audio survived silence stripping in "
+                          f"{mixed_wavs / 'e.wav'}")
 
 
 class TestSyntheticCorpus:

@@ -7,8 +7,9 @@ from fmresynth import dataset as ds
 from fmresynth import evaluation as ev
 from fmresynth import features as ft
 from fmresynth import training as tr
+from fmresynth import workers
 
-from conftest import packaged_config
+from conftest import in_process_pool, packaged_config
 
 
 def sine(freq, seconds=1.0, sr=16000):
@@ -98,7 +99,8 @@ class TestResynthesis:
         assert len(calls) == 1
 
     def test_target_f0_comes_from_the_feature_cache(self, trained,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   in_process_workers):
         run, ckpt, root = trained
         manifest = ds.load_manifest(root / "corpus" / "manifest.json")
         audio, track, _env = ds.load_clip(root / "corpus",
@@ -113,6 +115,43 @@ class TestResynthesis:
                                         split="train")
         # once per clip, on the prediction only
         assert len(calls) == len(report.per_clip) == 2
+
+
+@pytest.fixture(scope="module")
+def four_clip_split(tmp_path_factory):
+    """An untrained small decoder's checkpoint and a corpus whose train
+    split holds 4 clips."""
+    root = tmp_path_factory.mktemp("split")
+    import fmresynth.fmsynth as fm
+    config = fm.load_config(packaged_config("strings1_2"))
+    ds.synth_corpus(config, 4, seed=1, out_dir=root / "corpus",
+                    split_fractions=(1.0, 0.0, 0.0))
+    run = tr.RunConfig(corpus_dir=str(root / "corpus"),
+                       patch_path=packaged_config("strings1_2"), seed=1,
+                       hidden_channels=8, blocks=2)
+    model = tr.Model.build(run)
+    tr.save_checkpoint(root / "init.ckpt", run, 0, model.params,
+                       model.reverb_params, tr.AdamState())
+    return run, root / "init.ckpt", root / "corpus"
+
+
+class TestEvaluationWorkers:
+    def test_report_and_wavs_do_not_depend_on_the_worker_count(
+            self, four_clip_split, tmp_path, monkeypatch):
+        run, ckpt, corpus = four_clip_split
+
+        def evaluate(out):
+            report = ev.evaluate_checkpoint(run, ckpt, corpus, split="train",
+                                            out_dir=out)
+            return report, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        with monkeypatch.context() as m:
+            m.setattr(workers, "pool", in_process_pool)
+            reference = evaluate(tmp_path / "reference")
+        assert len(reference[0].per_clip) == 4 and len(reference[1]) == 8
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
+            assert evaluate(tmp_path / f"w{n}") == reference
 
 
 class TestGrids:

@@ -1,8 +1,6 @@
-import contextlib
 import csv
 import json
 import os
-import pickle
 import signal
 import struct
 import subprocess
@@ -27,34 +25,7 @@ from fmresynth import tcn
 from fmresynth import training as tr
 from fmresynth import workers
 
-from conftest import packaged_config, piecewise_envelopes
-
-
-class InProcessWorker:
-    """Answers worker requests in this process, so that a patch made here
-    reaches the code a worker runs; each request still goes through pickle."""
-
-    def __init__(self):
-        self.state, self.replies = {}, []
-
-    def send(self, message):
-        try:
-            tr.handle_request(self.state, pickle.loads(pickle.dumps(message)),
-                       self.replies.append)
-        except Exception as exc:
-            self.replies.append(("error", exc, ""))
-
-    def recv(self):
-        return workers.unpack(self.replies.pop(0))
-
-
-@pytest.fixture
-def in_process_workers(monkeypatch):
-    @contextlib.contextmanager
-    def pool(n):
-        yield [InProcessWorker() for _ in range(n)]
-
-    monkeypatch.setattr(workers, "pool", pool)
+from conftest import packaged_config, piecewise_envelopes, worker_running
 
 
 @pytest.fixture
@@ -503,17 +474,6 @@ class TestGradientAccumulation:
         assert len(set(calls)) == 8  # no clip's targets are built twice
 
 
-def _worker_running(pid):
-    """Whether pid is a live (not zombie) training worker."""
-    proc = Path(f"/proc/{pid}")
-    try:
-        state = (proc / "stat").read_text().rsplit(")", 1)[1].split()[0]
-        cmdline = (proc / "cmdline").read_bytes()
-    except FileNotFoundError:
-        return False
-    return state not in "ZX" and b"workers.serve()" in cmdline
-
-
 class TestWorkerPool:
     @pytest.fixture
     def six_clip_run(self, tmp_path, two_osc_config):
@@ -586,7 +546,7 @@ class TestWorkerPool:
         assert not thread.is_alive(), "train hung on a dead worker"
         (exc,) = raised
         assert isinstance(exc, ChildProcessError)
-        assert f"training worker 1 (pid {killed[0]}) exited with code -9" in str(exc)
+        assert str(exc) == f"worker 1 (pid {killed[0]}) exited with code -9"
         assert workers._WORKERS == []  # the rest of the pool was closed
 
     def test_truncated_clip_raises_its_error_in_the_caller(self, tmp_path,
@@ -639,7 +599,7 @@ class TestWorkerPool:
         assert proc.returncode == 0, proc.stderr[-2000:]
         pids = [int(p) for p in proc.stdout.split()]
         assert len(pids) == min(2, workers.cpu_count())
-        assert not [pid for pid in pids if _worker_running(pid)]
+        assert not [pid for pid in pids if worker_running(pid)]
         assert (tmp_path / "out" / "checkpoint_00000002.ckpt").exists()
 
 
