@@ -18,7 +18,6 @@ discarded.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "Tensor",
@@ -29,7 +28,7 @@ __all__ = [
     "spectral_l1", "reduce_sum", "dropout", "slice_", "fft_convolve",
     "constant",
     "parameter", "backward", "gradient_check", "check_gradients",
-    "hann_window",
+    "hann_window", "next_fast_len",
 ]
 
 
@@ -320,6 +319,21 @@ def linear_upsample(x, factor):
     return _make(out, "linear_upsample", (x,), bwd)
 
 
+def next_fast_len(n):
+    """The smallest 2**a * 3**b * 5**c >= n (n >= 1): an FFT length that
+    numpy's pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of 3**b * 5**c that is >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def hann_window(n):
     """Periodic Hann window of length n."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
@@ -435,7 +449,7 @@ def fft_convolve(x, h):
             f"fft_convolve: expected 1-D inputs, got {xv.shape} and {hv.shape}"
         )
     l, m = xv.shape[0], hv.shape[0]
-    nfft = next_fast_len(l + m - 1, real=True)
+    nfft = next_fast_len(l + m - 1)
     xf, hf = np.fft.rfft(xv, nfft), np.fft.rfft(hv, nfft)
     out = np.fft.irfft(xf * hf, nfft)[:l]
 

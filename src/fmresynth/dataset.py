@@ -111,10 +111,11 @@ def write_wav(path, audio):
 
 def resample_to(audio, rate_in):
     """Polyphase windowed-sinc resampling (Kaiser window) to SAMPLE_RATE."""
-    # imported here: scipy.signal is half the import time of the package
-    from scipy.signal import resample_poly
     if rate_in == SAMPLE_RATE:
         return np.asarray(audio, dtype=np.float64)
+    # imported here, and only for audio it resamples: scipy.signal takes
+    # ~0.8 s to import, several times the rest of a worker's start-up
+    from scipy.signal import resample_poly
     g = np.gcd(int(rate_in), SAMPLE_RATE)
     return resample_poly(audio, SAMPLE_RATE // g, rate_in // g, window=("kaiser", 8.0))
 
@@ -296,10 +297,8 @@ def ingest(directory, instrument, seed, out_dir):
     kept = []  # (clip_id, source, audio, track)
     n = min(workers.cpu_count(), len(wav_paths))
     with workers.pool(n) as pool:
-        for k, worker in enumerate(pool):
-            worker.send(("ingest", os.getcwd(), wav_paths[k::n]))
-        for j, wav_path in enumerate(wav_paths):
-            clips, warning = pool[j % n].recv()
+        replies = workers.scatter(pool, ("ingest", os.getcwd()), wav_paths)
+        for wav_path, (clips, warning) in zip(wav_paths, replies):
             if warning:
                 log.warning("%s", warning)
             for i, clip, track in clips:
@@ -325,6 +324,14 @@ def ingest(directory, instrument, seed, out_dir):
 # ---------------------------------------------------------------------------
 # synthetic oracle corpus
 
+def synth_clip(config, env, f0, i_max):
+    """One clip of ``synth_corpus``: the stored render of envelopes ``env``
+    [T, n_osc] over ``f0``, and its FeatureTrack."""
+    spec = fm.RenderSpec(f0_frames=f0)
+    audio = _as_stored(fm.render(config, env, spec, i_max=i_max).values)
+    return audio, ft.extract_features(audio)
+
+
 def synth_corpus(config, n_clips, seed, out_dir,
                  split_fractions=SPLIT_FRACTIONS, i_max=2.0):
     """Render a corpus from seeded random envelopes and f0 tracks.
@@ -332,15 +339,20 @@ def synth_corpus(config, n_clips, seed, out_dir,
     Envelopes are piecewise linear (8 breakpoints per channel); f0 is
     piecewise constant in [200, 600] Hz. Ground-truth envelopes are stored
     next to each clip for envelope-recovery tests.
+
+    Every clip's envelopes and f0 are drawn here; clip c then runs
+    ``synth_clip`` in worker c mod n (see ``workers``), with one worker per
+    core up to the number of clips, and the replies are written here in
+    clip order, so the corpus does not depend on n.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    records = []
     labels = assign_splits(n_clips, seed, split_fractions)
     a_max = config.a_max(i_max)
-    for c in range(n_clips):
-        t = FRAMES_PER_CLIP
+    t = FRAMES_PER_CLIP
+    draws = []
+    for _ in range(n_clips):
         env = np.zeros((t, config.n_oscillators))
         for k in range(config.n_oscillators):
             points = rng.uniform(0.1, 0.9, size=8) * a_max[k]
@@ -348,17 +360,20 @@ def synth_corpus(config, n_clips, seed, out_dir,
         n_segments = 4
         f0 = np.repeat(rng.uniform(200.0, 600.0, size=n_segments),
                        int(np.ceil(t / n_segments)))[:t]
-        spec = fm.RenderSpec(f0_frames=f0)
-        audio = _as_stored(fm.render(config, env, spec, i_max=i_max).values)
-        track = ft.extract_features(audio)
+        draws.append((env, f0))
 
-        clip_id = f"synthetic_{c:04d}"
-        envelopes_path = f"{clip_id}.envelopes.npz"
-        records.append(_write_clip(
-            out_dir, clip_id, audio, track, source_file="<synthetic>",
-            instrument="synthetic", split=labels[c],
-            envelopes_path=envelopes_path))
-        np.savez(out_dir / envelopes_path, envelopes=env, f0=f0)
+    records = []
+    n = min(workers.cpu_count(), n_clips)
+    with workers.pool(n) as pool:
+        replies = workers.scatter(pool, ("synth", config, i_max), draws)
+        for c, ((env, f0), (audio, track)) in enumerate(zip(draws, replies)):
+            clip_id = f"synthetic_{c:04d}"
+            envelopes_path = f"{clip_id}.envelopes.npz"
+            records.append(_write_clip(
+                out_dir, clip_id, audio, track, source_file="<synthetic>",
+                instrument="synthetic", split=labels[c],
+                envelopes_path=envelopes_path))
+            np.savez(out_dir / envelopes_path, envelopes=env, f0=f0)
     manifest = CorpusManifest(
         instrument="synthetic", seed=seed, records=records,
         split_fractions=tuple(split_fractions),

@@ -131,11 +131,9 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
     per_clip = []
     n = min(workers.cpu_count(), len(records))
     with workers.pool(n) as pool:
-        for k, worker in enumerate(pool):
-            worker.send(("evaluate", os.getcwd(), run, weights, corpus_dir,
-                         records[k::n]))
-        for k, record in enumerate(records):
-            metrics, pred = pool[k % n].recv()
+        replies = workers.scatter(
+            pool, ("evaluate", os.getcwd(), run, weights, corpus_dir), records)
+        for record, (metrics, pred) in zip(records, replies):
             metrics["clip_id"] = record.clip_id
             per_clip.append(metrics)
             if out_dir is not None:

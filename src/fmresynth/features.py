@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
 
 from . import autodiff as ad
 
@@ -105,7 +104,7 @@ def estimate_f0(audio):
     padded = np.pad(audio, ((w + tau_max) // 2, w + tau_max))
     blocks = sliding_window_view(padded, seg_len)[
         :(n_frames + n_sub - 1) * HOP:HOP]        # [T + 15, HOP + tau_max]
-    nfft = next_fast_len(seg_len, real=True)
+    nfft = ad.next_fast_len(seg_len)
     spec = np.fft.rfft(blocks, nfft, axis=1)
     spec_head = np.fft.rfft(blocks[:, :HOP], nfft, axis=1)
     xcorr = np.fft.irfft(np.conj(spec_head) * spec, nfft, axis=1)[:, :tau_max + 1]

@@ -340,10 +340,8 @@ def train(run, out_dir, resume_from=None):
     n = min(workers.cpu_count(), run.batch, len(train_records))
     with workers.pool(n) as pool:
         owner = {r.clip_id: pool[i % n] for i, r in enumerate(train_records)}
-        for k, worker in enumerate(pool):
-            worker.send(("begin", os.getcwd(), run, train_records[k::n]))
-        for r in train_records:
-            owner[r.clip_id].recv()
+        # wait until every worker holds its clips' targets
+        list(workers.scatter(pool, ("begin", os.getcwd(), run), train_records))
         valid_clips = []
         for r in valid_records:
             audio, track, _env = ds.load_clip(run.corpus_dir, r)
@@ -411,11 +409,17 @@ def handle_request(state, message, reply):
     reply ``dataset.prepare_wav``'s (clips, warning). ("evaluate", cwd,
     run, weights, corpus dir, records): per record, reply
     ``evaluation.score_clip``'s (metrics, prediction) under those weights.
-    ("end",): drop the call's state. Requests that name files first change
-    to the caller's working directory.
+    ("synth", FmConfig, i_max, [(envelopes, f0), ...]): per clip, reply
+    ``dataset.synth_clip``'s (stored audio, FeatureTrack). ("end",): drop
+    the call's state. Requests that name files first change to the
+    caller's working directory.
     """
     kind, *args = message
-    if kind == "ingest":
+    if kind == "synth":
+        config, i_max, draws = args
+        for env, f0 in draws:
+            reply(("ok", *ds.synth_clip(config, env, f0, i_max)))
+    elif kind == "ingest":
         cwd, wav_paths = args
         os.chdir(cwd)
         for path in wav_paths:

@@ -1,6 +1,6 @@
 """Persistent worker processes for work that is independent per clip or
-per wav: the clips of a training step, ``prepare``'s wavs and the clips
-``evaluate_checkpoint`` scores.
+per wav: the clips of a training step, ``prepare``'s wavs, the clips
+``evaluate_checkpoint`` scores and the clips ``synth_corpus`` renders.
 
 Each worker is ``python -c`` started with ``subprocess`` (never a
 ``multiprocessing`` start method, which re-imports an unguarded
@@ -9,7 +9,8 @@ numbers do not depend on the host's cores. Parent and worker exchange
 pickled tuples over the worker's stdin and stdout; a worker answers every
 item of a request with one reply, in order, and answers the first item
 that raises with ``("error", exception, traceback text)`` and nothing more
-for that request.
+for that request. ``scatter`` deals a call's items out, item j to worker
+j mod n, and reads their replies back in item order.
 
 Workers start on first use and live as long as the interpreter: they are
 closed from ``atexit``, and a parent that dies closes their stdin, which
@@ -120,6 +121,18 @@ def pool(n):
     except BaseException:
         close_all()
         raise
+
+
+def scatter(pool, request, items):
+    """Send item j of ``items`` to worker j mod n of the n-worker ``pool``,
+    each worker's items as the last field of ``request``, and yield the
+    replies in item order, so what the caller does with them does not
+    depend on n."""
+    n = len(pool)
+    for k, worker in enumerate(pool):
+        worker.send((*request, items[k::n]))
+    for j in range(len(items)):
+        yield pool[j % n].recv()
 
 
 @atexit.register

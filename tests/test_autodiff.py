@@ -191,6 +191,11 @@ class TestOpValues:
         out = ad.fft_convolve(Tensor(x), Tensor(h)).values
         assert np.allclose(out, np.convolve(x, h)[:50])
 
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        assert [n for n in range(1, 2 ** 17 + 1)
+                if ad.next_fast_len(n) != next_fast_len(n, real=True)] == []
+
     def test_dropout_inference_scale(self):
         x = Tensor(np.ones(10000))
         out = ad.dropout(x, 0.5, np.random.default_rng(0)).values

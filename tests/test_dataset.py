@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import subprocess
@@ -254,6 +255,24 @@ class TestSyntheticCorpus:
         audio, track, env = ds.load_clip(tmp_path, manifest.records[0])
         assert env.shape == (ds.FRAMES_PER_CLIP, 2)
         assert len(audio) == ds.CLIP_SAMPLES
+
+    def test_corpus_does_not_depend_on_the_worker_count(self, tmp_path,
+                                                        two_osc_config,
+                                                        monkeypatch):
+        def build(out):
+            ds.synth_corpus(two_osc_config, 5, seed=4, out_dir=out,
+                            split_fractions=(0.6, 0.2, 0.2))
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in out.iterdir()}
+
+        with monkeypatch.context() as m:
+            m.setattr(workers, "pool", in_process_pool)
+            reference = build(tmp_path / "reference")
+        # per clip its audio, sidecar, features and envelopes; the manifest
+        assert len(reference) == 5 * 4 + 1 and "manifest.json" in reference
+        for n in (1, 2, 3):
+            monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
+            assert build(tmp_path / f"w{n}") == reference
 
     def test_synth_corpus_is_seeded(self, tmp_path, two_osc_config):
         m1 = ds.synth_corpus(two_osc_config, 2, seed=5, out_dir=tmp_path / "a")

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fmresynth
@@ -45,3 +48,18 @@ def test_the_check_sees_both_forms(tmp_path):
                     "tr.__file__\n")
     assert private_reads(path) == [(2, "training._handle"),
                                    (3, "tr._dropout_seed")]
+
+
+def test_importing_the_package_leaves_scipy_out():
+    # a worker imports training before its first request: scipy.fft would
+    # add ~0.4 s to every worker's start, and scipy.signal ~0.8 s to a
+    # prepare whose wavs need no resampling
+    code = ("import sys\n"
+            "from fmresynth import cli, dataset, evaluation, training\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "dataset.resample_to([0.0] * 8, dataset.SAMPLE_RATE)\n"
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout == "[]\nFalse\n"

@@ -518,6 +518,37 @@ class TestWorkerPool:
                                       "checkpoint_00000004.ckpt", "loss_log.csv"]
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_a_pooled_synth_corpus_leaves_training_unchanged(
+            self, tmp_path, two_osc_config, monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+        run = tr.RunConfig(corpus_dir=str(tmp_path / "corpus"),
+                           patch_path=packaged_config("strings1_2"),
+                           steps=2, batch=4, seed=1, hidden_channels=8,
+                           blocks=2)
+
+        def synth(corpus):
+            ds.synth_corpus(two_osc_config, 4, seed=6, out_dir=corpus,
+                            split_fractions=(1.0, 0.0, 0.0))
+            return [w.proc.pid for w in workers._WORKERS]
+
+        def train(corpus, out):
+            tr.train(replace(run, corpus_dir=str(corpus)), out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        # reference: workers whose first request is train's
+        synth(tmp_path / "corpus")
+        workers.close_all()
+        reference = train(tmp_path / "corpus", tmp_path / "reference")
+        # the same workers render a corpus, then train on it
+        workers.close_all()
+        pids = synth(tmp_path / "corpus2")
+        after = train(tmp_path / "corpus2", tmp_path / "after")
+        assert [w.proc.pid for w in workers._WORKERS] == pids
+        assert len(pids) == 2
+        assert sorted(reference) == ["checkpoint_00000002.ckpt",
+                                     "loss_log.csv"]
+        assert after == reference
+
     def test_a_killed_worker_makes_train_raise_naming_it(self, tmp_path,
                                                          six_clip_run,
                                                          monkeypatch):
