@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import wave
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -69,6 +68,14 @@ class CorpusManifest:
 
     def split_records(self, split):
         return [r for r in self.records if r.split == split]
+
+
+@dataclass(frozen=True)
+class ClipSidecar:
+    """The JSON next to a cached clip's raw samples."""
+    samples: int
+    sample_rate: int = SAMPLE_RATE
+    dtype: str = "float32le"
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +189,7 @@ def _write_clip(out_dir, clip_id, audio, track, **record_fields):
     audio_path = f"{clip_id}.f32"
     features_path = f"{clip_id}.features.npz"
     np.asarray(audio, dtype="<f4").tofile(out_dir / audio_path)
-    meta = {"sample_rate": SAMPLE_RATE, "samples": int(len(audio)),
-            "dtype": "float32le"}
+    meta = asdict(ClipSidecar(samples=len(audio)))
     (out_dir / f"{audio_path}.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     ft.save_features(out_dir / features_path, track)
     return ClipRecord(clip_id=clip_id, mean_confidence=float(track.confidence.mean()),
@@ -193,10 +199,13 @@ def _write_clip(out_dir, clip_id, audio, track, **record_fields):
 
 def load_clip_audio(path):
     sidecar = Path(str(path) + ".json")
-    meta = parse_json(sidecar.read_text(), sidecar, "clip sidecar")
-    _check_keys(sidecar, "clip sidecar", meta, ("samples",), ("sample_rate", "dtype"))
+    meta = from_json(ClipSidecar, parse_json(sidecar.read_text(), sidecar,
+                                             "clip sidecar"), sidecar, "clip sidecar")
+    if (meta.sample_rate, meta.dtype) != (SAMPLE_RATE, "float32le"):
+        raise ValueError(f"{sidecar}: clip sidecar says {meta.dtype} at "
+                         f"{meta.sample_rate} Hz, not float32le at {SAMPLE_RATE} Hz")
     audio = np.fromfile(path, dtype="<f4").astype(np.float64)
-    if len(audio) != meta["samples"]:
+    if len(audio) != meta.samples:
         raise ValueError(f"clip cache {path} is truncated")
     return audio
 
@@ -295,9 +304,8 @@ def ingest(directory, instrument, seed, out_dir):
     wav_paths = sorted(directory.glob("*.wav"))
 
     kept = []  # (clip_id, source, audio, track)
-    n = min(workers.cpu_count(), len(wav_paths))
-    with workers.pool(n) as pool:
-        replies = workers.scatter(pool, ("ingest", os.getcwd()), wav_paths)
+    with workers.pool(len(wav_paths)) as pool:
+        replies = workers.scatter(pool, prepare_wav, (), wav_paths)
         for wav_path, (clips, warning) in zip(wav_paths, replies):
             if warning:
                 log.warning("%s", warning)
@@ -324,9 +332,10 @@ def ingest(directory, instrument, seed, out_dir):
 # ---------------------------------------------------------------------------
 # synthetic oracle corpus
 
-def synth_clip(config, env, f0, i_max):
-    """One clip of ``synth_corpus``: the stored render of envelopes ``env``
-    [T, n_osc] over ``f0``, and its FeatureTrack."""
+def synth_clip(config, i_max, draw):
+    """One clip of ``synth_corpus``: the stored render of the draw's
+    envelopes [T, n_osc] over its f0, and its FeatureTrack."""
+    env, f0 = draw
     spec = fm.RenderSpec(f0_frames=f0)
     audio = _as_stored(fm.render(config, env, spec, i_max=i_max).values)
     return audio, ft.extract_features(audio)
@@ -363,9 +372,8 @@ def synth_corpus(config, n_clips, seed, out_dir,
         draws.append((env, f0))
 
     records = []
-    n = min(workers.cpu_count(), n_clips)
-    with workers.pool(n) as pool:
-        replies = workers.scatter(pool, ("synth", config, i_max), draws)
+    with workers.pool(n_clips) as pool:
+        replies = workers.scatter(pool, synth_clip, (config, i_max), draws)
         for c, ((env, f0), (audio, track)) in enumerate(zip(draws, replies)):
             clip_id = f"synthetic_{c:04d}"
             envelopes_path = f"{clip_id}.envelopes.npz"

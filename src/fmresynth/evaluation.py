@@ -10,7 +10,6 @@ published numbers.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,7 +116,7 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
                         out_dir=None):
     """EvalReport over a corpus split; optionally writes resynthesized wavs.
 
-    The checkpoint is loaded here, once. Its weights go to worker processes
+    The checkpoint is loaded here, once. The model goes to worker processes
     (see ``workers``), one per core up to the number of clips, and record k
     of the clip-id-sorted split runs ``score_clip`` in worker k mod n. The
     replies are read here in that order, so the report does not depend on n.
@@ -127,12 +126,9 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
     if not records:
         raise ValueError(f"split {split!r} is empty")
     model = tr.Model.load(run, checkpoint_path)
-    weights = {name: p.values for name, p in model.named_params().items()}
     per_clip = []
-    n = min(workers.cpu_count(), len(records))
-    with workers.pool(n) as pool:
-        replies = workers.scatter(
-            pool, ("evaluate", os.getcwd(), run, weights, corpus_dir), records)
+    with workers.pool(len(records)) as pool:
+        replies = workers.scatter(pool, score_clip, (model, corpus_dir), records)
         for record, (metrics, pred) in zip(records, replies):
             metrics["clip_id"] = record.clip_id
             per_clip.append(metrics)

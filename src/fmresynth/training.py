@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -315,12 +314,14 @@ def train(run, out_dir, resume_from=None):
     valid_loss) under out_dir. A resume keeps the log's rows before its
     step and writes the rest again.
 
-    The clips of a step run in worker processes (see ``workers``), one
-    per core up to the batch size. The train clip at index i of its split
-    belongs to worker i mod n, which alone holds its targets. Each worker
-    returns per clip its loss and its gradient of loss / batch size, and
-    they are summed here in batch order: the bytes ``.grad`` held when one
-    process back-propagated every clip into the same leaves.
+    The clips of a step run ``clip_step`` in worker processes (see
+    ``workers``), one per core up to the batch size. The train clip at
+    index i of its split belongs to worker i mod n, which alone holds its
+    targets (``hold_targets``). Each step sends the ``Model`` to the
+    workers its clips belong to; each returns per clip its loss and its
+    gradient of loss / batch size, and they are summed here in batch
+    order: the bytes ``.grad`` held when one process back-propagated every
+    clip into the same leaves.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -337,11 +338,12 @@ def train(run, out_dir, resume_from=None):
         raise ValueError("train split is empty")
     valid_records = manifest.split_records("valid")
 
-    n = min(workers.cpu_count(), run.batch, len(train_records))
-    with workers.pool(n) as pool:
-        owner = {r.clip_id: pool[i % n] for i, r in enumerate(train_records)}
+    with workers.pool(min(run.batch, len(train_records))) as pool:
+        owner = {r.clip_id: pool[i % len(pool)]
+                 for i, r in enumerate(train_records)}
         # wait until every worker holds its clips' targets
-        list(workers.scatter(pool, ("begin", os.getcwd(), run), train_records))
+        list(workers.scatter(pool, hold_targets, (run.corpus_dir,),
+                             train_records))
         valid_clips = []
         for r in valid_records:
             audio, track, _env = ds.load_clip(run.corpus_dir, r)
@@ -362,12 +364,12 @@ def train(run, out_dir, resume_from=None):
                 batch = ds.minibatch(manifest, "train", run.batch,
                                      seed=run.seed, epoch=epoch)[batch_idx]
 
-                values = {name: p.values for name, p in all_params.items()}
                 for worker in pool:
                     clips = [(j, r.clip_id) for j, r in enumerate(batch)
                              if owner[r.clip_id] is worker]
                     if clips:
-                        worker.send(("step", values, step, len(batch), clips))
+                        worker.run(clip_step, (model, run.seed, step, len(batch)),
+                                   clips)
                 grads = None
                 total = 0.0
                 for record in batch:
@@ -399,72 +401,29 @@ def train(run, out_dir, resume_from=None):
     return last_ckpt
 
 
-def handle_request(state, message, reply):
-    """Answer one request in a worker process (see ``workers``).
+def hold_targets(corpus_dir, record):
+    """Keep a train clip's target spectrograms and FeatureTrack in this
+    worker's ``workers.held``, for the ``clip_step``s of the call."""
+    audio, track, _env = ds.load_clip(corpus_dir, record)
+    workers.held[record.clip_id] = (sp.target_spectrograms(audio), track)
 
-    ("begin", cwd, run, records): build the run's model and the records'
-    targets, one reply per record. ("step", weights, step, batch size,
-    [(batch position, clip id), ...]): per clip, reply (loss, {name: grad
-    of loss / batch size, or None}). ("ingest", cwd, wav paths): per wav,
-    reply ``dataset.prepare_wav``'s (clips, warning). ("evaluate", cwd,
-    run, weights, corpus dir, records): per record, reply
-    ``evaluation.score_clip``'s (metrics, prediction) under those weights.
-    ("synth", FmConfig, i_max, [(envelopes, f0), ...]): per clip, reply
-    ``dataset.synth_clip``'s (stored audio, FeatureTrack). ("end",): drop
-    the call's state. Requests that name files first change to the
-    caller's working directory.
-    """
-    kind, *args = message
-    if kind == "synth":
-        config, i_max, draws = args
-        for env, f0 in draws:
-            reply(("ok", *ds.synth_clip(config, env, f0, i_max)))
-    elif kind == "ingest":
-        cwd, wav_paths = args
-        os.chdir(cwd)
-        for path in wav_paths:
-            reply(("ok", *ds.prepare_wav(path)))
-    elif kind == "evaluate":
-        from . import evaluation as ev  # imported here: it imports this module
-        cwd, run, weights, corpus_dir, records = args
-        os.chdir(cwd)
-        model = Model.build(run)
-        for name, p in model.named_params().items():
-            p.values = weights[name]
-        for r in records:
-            reply(("ok", *ev.score_clip(model, corpus_dir, r)))
-    elif kind == "begin":
-        cwd, run, records = args
-        os.chdir(cwd)
-        state.clear()
-        state.update(run=run, model=Model.build(run), targets={})
-        for r in records:
-            audio, track, _env = ds.load_clip(run.corpus_dir, r)
-            state["targets"][r.clip_id] = (sp.target_spectrograms(audio), track)
-            reply(("ok",))
-    elif kind == "step":
-        weights, step, batch_size, clips = args
-        run, model = state["run"], state["model"]
-        named = model.named_params()
-        for name, p in named.items():
-            p.values = weights[name]
-        scale = ad.constant(1.0 / batch_size)
-        for j, clip_id in clips:
-            targets, track = state["targets"][clip_id]
-            for p in named.values():
-                p.zero_grad()
-            _env, _dry, wet = model.forward(
-                track, mode="train", seed=_dropout_seed(run.seed, step, j))
-            loss = sp.mss_loss(targets, wet)
-            value = loss.item()
-            if np.isfinite(value):
-                ad.backward(ad.mul(loss, scale))
-            reply(("ok", value, {name: p.grad for name, p in named.items()}))
-            del _env, _dry, wet, loss  # free this clip's tape
-    elif kind == "end":
-        state.clear()
-    else:
-        raise ValueError(f"unknown worker request {kind!r}")
+
+def clip_step(model, seed, step, batch_size, clip):
+    """One clip's part of a training step, in the worker that holds its
+    targets: clip is (batch position, clip id). Returns (loss, {name: grad
+    of loss / batch_size, or None where none reached it})."""
+    j, clip_id = clip
+    targets, track = workers.held[clip_id]
+    named = model.named_params()
+    for p in named.values():
+        p.zero_grad()
+    _env, _dry, wet = model.forward(track, mode="train",
+                                    seed=_dropout_seed(seed, step, j))
+    loss = sp.mss_loss(targets, wet)
+    value = loss.item()
+    if np.isfinite(value):
+        ad.backward(ad.mul(loss, ad.constant(1.0 / batch_size)))
+    return value, {name: p.grad for name, p in named.items()}
 
 
 def _dropout_seed(seed, step, clip_index):

@@ -6,15 +6,19 @@ Each worker is ``python -c`` started with ``subprocess`` (never a
 ``multiprocessing`` start method, which re-imports an unguarded
 ``__main__``), with every BLAS library held to one thread, so a clip's
 numbers do not depend on the host's cores. Parent and worker exchange
-pickled tuples over the worker's stdin and stdout; a worker answers every
-item of a request with one reply, in order, and answers the first item
-that raises with ``("error", exception, traceback text)`` and nothing more
-for that request. ``scatter`` deals a call's items out, item j to worker
-j mod n, and reads their replies back in item order.
+pickled tuples over the worker's stdin and stdout. A request names its
+work: ``(caller's cwd, fn, args, items)``, with ``fn`` a module-level
+function pickled by reference. The worker changes to the caller's
+directory and replies ``("ok", fn(*args, item))`` per item, in order; the
+first item that raises is answered with ``("error", exception, traceback
+text)`` and nothing more for that request. ``scatter`` deals a call's
+items out, item j to worker j mod n, and reads their replies back in item
+order. ``held`` is where a call leaves values in a worker for its own
+later requests; the pool empties it when the call ends.
 
 Workers start on first use and live as long as the interpreter: they are
 closed from ``atexit``, and a parent that dies closes their stdin, which
-ends them too. What a request computes is ``training.handle_request``.
+ends them too.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS")
 _PACKAGE_ROOT = str(Path(__file__).resolve().parents[1])
 _WORKERS = []
+END = (None, None, (), ())  # the pool's end message: empties ``held``
+held = {}
 
 
 def cpu_count():
@@ -47,12 +53,31 @@ class RemoteTraceback(Exception):
 
 
 def unpack(reply):
-    """The payload of a reply; re-raises the exception a worker sent."""
+    """The result a reply carries; re-raises the exception a worker sent."""
     kind, *payload = reply
     if kind == "error":
         exc, text = payload
         raise exc from RemoteTraceback(text)
-    return payload
+    return payload[0]
+
+
+def answer(message, reply):
+    """Answer one request (see the module docstring) through ``reply``."""
+    cwd, fn, args, items = message
+    if fn is None:  # END
+        held.clear()
+        return
+    try:
+        os.chdir(cwd)
+        for item in items:
+            reply(("ok", fn(*args, item)))
+    except Exception as exc:
+        text = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        reply(("error", exc, text))
 
 
 class Worker:
@@ -73,6 +98,10 @@ class Worker:
             self.proc.stdin.flush()
         except OSError:
             raise self._exited() from None
+
+    def run(self, fn, args, items):
+        """Request ``fn(*args, item)`` for each item."""
+        self.send((os.getcwd(), fn, args, items))
 
     def recv(self):
         try:
@@ -105,32 +134,32 @@ class Worker:
 
 
 @contextmanager
-def pool(n):
-    """The first n workers, started as needed, for one call.
+def pool(limit):
+    """The first min(cores, limit) workers, started as needed, for one call.
 
-    On a normal exit each drops the call's state; on an exception every
-    worker is closed, since replies still on their way would otherwise
-    answer the next call.
+    On a normal exit each empties ``held``; on an exception every worker is
+    closed, since replies still on their way would otherwise answer the
+    next call.
     """
+    n = min(cpu_count(), limit)
     while len(_WORKERS) < n:
         _WORKERS.append(Worker(len(_WORKERS)))
     try:
         yield _WORKERS[:n]
         for worker in _WORKERS[:n]:
-            worker.send(("end",))
+            worker.send(END)
     except BaseException:
         close_all()
         raise
 
 
-def scatter(pool, request, items):
-    """Send item j of ``items`` to worker j mod n of the n-worker ``pool``,
-    each worker's items as the last field of ``request``, and yield the
-    replies in item order, so what the caller does with them does not
-    depend on n."""
+def scatter(pool, fn, args, items):
+    """Run ``fn(*args, item)`` for item j of ``items`` in worker j mod n of
+    the n-worker ``pool``, and yield the results in item order, so what the
+    caller does with them does not depend on n."""
     n = len(pool)
     for k, worker in enumerate(pool):
-        worker.send((*request, items[k::n]))
+        worker.run(fn, args, items[k::n])
     for j in range(len(items)):
         yield pool[j % n].recv()
 
@@ -143,8 +172,6 @@ def close_all():
 
 def serve():
     """A worker's main loop: answer requests on stdin until it closes."""
-    from .training import handle_request
-
     # Ctrl-C reaches the whole process group; the parent decides
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     requests = sys.stdin.buffer
@@ -164,20 +191,11 @@ def serve():
 
     sender = threading.Thread(target=send_replies, daemon=True)
     sender.start()
-    state = {}
     while True:
         try:
             message = pickle.load(requests)
         except EOFError:
             break
-        try:
-            handle_request(state, message, outbox.put)
-        except Exception as exc:
-            text = traceback.format_exc()
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            outbox.put(("error", exc, text))
+        answer(message, outbox.put)
     outbox.put(None)
     sender.join()

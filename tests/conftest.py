@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fmresynth import fmsynth as fm
-from fmresynth import training as tr
 from fmresynth import workers
 
 
@@ -43,24 +42,25 @@ class InProcessWorker:
     """Answers worker requests in this process, so that a patch made here
     reaches the code a worker runs; each request still goes through pickle."""
 
+    run = workers.Worker.run
+
     def __init__(self):
-        self.state, self.replies = {}, []
+        self.replies = []
 
     def send(self, message):
-        try:
-            tr.handle_request(self.state, pickle.loads(pickle.dumps(message)),
-                              self.replies.append)
-        except Exception as exc:
-            self.replies.append(("error", exc, ""))
+        workers.answer(pickle.loads(pickle.dumps(message)), self.replies.append)
 
     def recv(self):
         return workers.unpack(self.replies.pop(0))
 
 
 @contextlib.contextmanager
-def in_process_pool(n):
-    """A stand-in for ``workers.pool``: n workers that run in this process."""
-    yield [InProcessWorker() for _ in range(n)]
+def in_process_pool(limit):
+    """A stand-in for ``workers.pool``: workers that run in this process."""
+    pool = [InProcessWorker() for _ in range(min(workers.cpu_count(), limit))]
+    yield pool
+    for worker in pool:
+        worker.send(workers.END)
 
 
 @pytest.fixture

@@ -342,14 +342,17 @@ class TestTrainAndDownstream:
         assert "manifest.json" in capsys.readouterr().err
 
     # one case per cached file kind train reads, features written on
-    # another frame grid, a 0-d track and a track one frame short
+    # another frame grid, a 0-d track, a track one frame short, and a clip
+    # sidecar naming another rate or sample type or a count as a string
     @pytest.mark.parametrize("kind, key, value", [
         ("features.npz", "loudness", None), ("f32.json", "samples", None),
         ("envelopes.npz", "envelopes", None),
         ("features.npz", "sample_rate", 44100), ("features.npz", "hop", 147),
         ("features.npz", "confidence", 0.5), ("features.npz", "f0", "short"),
         ("features.npz", "hop", [64, 64]), ("features.npz", "version", [1]),
-        ("features.npz", "sample_rate", "16000")])
+        ("features.npz", "sample_rate", "16000"),
+        ("f32.json", "sample_rate", 44100), ("f32.json", "dtype", "int16"),
+        ("f32.json", "samples", "64000")])
     def test_train_on_a_malformed_corpus_file_is_runtime_error(
             self, workspace, tmp_path, capsys, kind, key, value):
         corpus = tmp_path / "corpus"
@@ -359,7 +362,10 @@ class TestTrainAndDownstream:
         path = corpus / f"{record.clip_id}.{kind}"
         if kind == "f32.json":
             meta = json.loads(path.read_text())
-            del meta[key]
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
             path.write_text(json.dumps(meta))
         else:
             with np.load(path) as data:

@@ -50,10 +50,35 @@ def test_the_check_sees_both_forms(tmp_path):
                                    (3, "tr._dropout_seed")]
 
 
+def package_imports(path):
+    """Names of the package modules that the module at `path` imports,
+    at the top or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("fmresynth")):
+            module = (node.module or "").removeprefix("fmresynth").lstrip(".")
+            found |= ({module} if module else
+                      {alias.name for alias in node.names})
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("fmresynth.")
+                      for alias in node.names
+                      if alias.name.startswith("fmresynth.")}
+    return found
+
+
+def test_workers_import_no_package_module_and_training_no_evaluation():
+    # a request names the function it runs, so the pool needs no module
+    # of the package, and training none of the modules built on it
+    assert package_imports(SRC / "workers.py") == set()
+    assert "evaluation" not in package_imports(SRC / "training.py")
+    assert package_imports(SRC / "evaluation.py") >= {"training", "workers"}
+
+
 def test_importing_the_package_leaves_scipy_out():
-    # a worker imports training before its first request: scipy.fft would
-    # add ~0.4 s to every worker's start, and scipy.signal ~0.8 s to a
-    # prepare whose wavs need no resampling
+    # a worker imports the module of its first request's function (training
+    # for train): scipy.fft would add ~0.4 s to every worker's start, and
+    # scipy.signal ~0.8 s to a prepare whose wavs need no resampling
     code = ("import sys\n"
             "from fmresynth import cli, dataset, evaluation, training\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -1,5 +1,6 @@
 import csv
 import json
+import operator
 import os
 import signal
 import struct
@@ -495,7 +496,7 @@ class TestWorkerPool:
         send = workers.Worker.send
 
         def spy(worker, message):
-            if message[0] == "begin":
+            if message[1] is tr.hold_targets:
                 begun.append([r.clip_id for r in message[3]])
             send(worker, message)
 
@@ -548,6 +549,35 @@ class TestWorkerPool:
         assert sorted(reference) == ["checkpoint_00000002.ckpt",
                                      "loss_log.csv"]
         assert after == reference
+
+    def test_a_request_runs_a_named_function(self, tmp_path, six_clip_run,
+                                             monkeypatch):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 3)
+        items = list(range(7))
+        for limit in (1, 2, 3):
+            with workers.pool(limit) as pool:
+                assert len(pool) == limit
+                results = workers.scatter(pool, operator.add, (100,), items)
+                assert list(results) == [100 + i for i in items]
+        # the first item that raises reaches the caller, the worker's
+        # traceback as its cause
+        with pytest.raises(ZeroDivisionError) as info:
+            with workers.pool(2) as pool:
+                list(workers.scatter(pool, operator.truediv, (1.0,),
+                                     [1.0, 0.0, 2.0]))
+        assert isinstance(info.value.__cause__, workers.RemoteTraceback)
+        assert "ZeroDivisionError" in str(info.value.__cause__)
+        # a call's held values live until its pool ends
+        held = "len(__import__('fmresynth.workers').workers.held)"
+        records = ds.load_manifest(
+            tmp_path / "corpus" / "manifest.json").split_records("train")
+        with workers.pool(2) as pool:
+            list(workers.scatter(pool, tr.hold_targets,
+                                 (six_clip_run.corpus_dir,), records))
+            assert list(workers.scatter(pool, eval, (), [held] * 2)) == [3, 3]
+        tr.train(six_clip_run, tmp_path / "out")
+        with workers.pool(3) as pool:
+            assert list(workers.scatter(pool, eval, (), [held] * 3)) == [0, 0, 0]
 
     def test_a_killed_worker_makes_train_raise_naming_it(self, tmp_path,
                                                          six_clip_run,
