@@ -8,25 +8,27 @@
 directions come from this checkout's BENCHMARK.json. For every workload,
 pair i of the PAIRS pairs runs `perfbench/run.py --seed <seed + i>` once
 on each side, the parent first in even pairs and the change first in odd
-ones, so drift in the host's speed falls on both sides alike. Then one traced run (`--trace 1
---seconds 0`) per side gives the per-module figures. BENCH_<pr>.json at
-the root of this checkout holds every run's end-to-end metrics, each
-side's median and quartiles, how many pairs the change won, each side's
-[failed, attempted] operation totals, the traced metrics and the `# machine`
-line of the runs. Each pair entry also holds `<side>_rusage`: the run's
-minor page faults and user and system CPU seconds, taken as deltas of
+ones, so drift in the host's speed falls on both sides alike. Then one
+traced run (`--trace 1 --seconds 0`) per side gives the per-module
+figures. BENCH_<pr>.json at the root of this checkout holds every run's
+end-to-end metrics, each side's median and quartiles, how many pairs the
+change won, each metric's verdict (gain, worse, unresolved or unchanged;
+see `verdict`, and printed per workload), each side's [failed, attempted]
+operation totals, the traced metrics and the `# machine` line of the runs.
+Each pair entry also holds `<side>_rusage`: the run's minor page faults
+and user and system CPU seconds, taken as deltas of
 getrusage(RUSAGE_CHILDREN) around it, and, for a run that printed
 metrics, `<side>_rusage_per_op`: the same deltas divided by the run's
 attempted operations. A run repeats rounds for a fixed time, so the
 faster side does more work per run; the per-operation figures compare
 like with like. Each workload holds the per-side medians of both, under
 `rusage` as `<side>` and `<side>_per_op`. Peak memory is not among them:
-ru_maxrss is a maximum, not a sum, so it has no delta. A run that prints no metrics is kept in its pair
-entry as `<side>_error` with its exit code and the tail of its stderr,
-and the pair is left out of the summary; the other pairs still run. The script
-exits 1 when any run fails perfbench's checks (`"correct": false`) or
-prints no metrics, so such a file cannot pass for a win, and 2 when
---parent is this checkout.
+ru_maxrss is a maximum, not a sum, so it has no delta. A run that prints
+no metrics is kept in its pair entry as `<side>_error` with its exit code
+and the tail of its stderr, and the pair is left out of the summary; the
+other pairs still run. The script exits 1 when any run fails perfbench's
+checks (`"correct": false`) or prints no metrics, so such a file cannot
+pass for a win, and 2 when --parent is this checkout.
 """
 
 from __future__ import annotations
@@ -96,9 +98,32 @@ def rusage_medians(runs, key):
             if entries else {})
 
 
+def verdict(parent, change, won, higher, bound):
+    """What the pairs show for one metric: "gain" when the change won at
+    least 9 in 10 pairs and the medians differ by more than the parent's
+    quartile spread; "worse" when the change's
+    median is worse than the parent's by more than `bound` (a fraction);
+    "unresolved" when the parent's quartile spread exceeds `bound` of its
+    median and not every change run beats every parent run; else
+    "unchanged"."""
+    p, c = quartiles(parent), quartiles(change)
+    better = (c["median"] - p["median"]) * (1 if higher else -1)
+    spread = p["q3"] - p["q1"]
+    if 10 * won >= 9 * len(parent) and better > spread:
+        return "gain"
+    if -better > bound * abs(p["median"]):
+        return "worse"
+    beats_all = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
+    if spread > bound * abs(p["median"]) and not beats_all:
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(runs, end_to_end):
-    """Per metric: each side's median and quartiles, and the pairs won, over
-    the pairs where both runs printed metrics (none if under two)."""
+    """Per metric: each side's median and quartiles, the pairs won and the
+    verdict, over the pairs where both runs printed metrics (none if under
+    two)."""
     runs = [r for r in runs if "parent" in r and "change" in r]
     out = {}
     if len(runs) < 2:
@@ -113,7 +138,9 @@ def summarize(runs, end_to_end):
                      "bound": metric["bound"], **side,
                      "median_change": side["change"]["median"]
                      / side["parent"]["median"] - 1.0,
-                     "change_won": won, "pairs": len(runs)}
+                     "change_won": won, "pairs": len(runs),
+                     "verdict": verdict(parent, change, won, higher,
+                                        metric["bound"])}
     return out
 
 
@@ -168,8 +195,13 @@ def main(argv=None):
                 traced[side] = result
             else:
                 traced[side] = values(result)
+        summary = summarize(runs, bench["end_to_end"])
+        for name, m in summary.items():
+            print(f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g}, won {m['change_won']}/"
+                  f"{m['pairs']}: {m['verdict']}", flush=True)
         report["workloads"][workload] = {
-            "summary": summarize(runs, bench["end_to_end"]), "runs": runs,
+            "summary": summary, "runs": runs,
             "failed": {side: [sum(r[f"{side}_failed"][i] for r in runs
                                   if side in r) for i in (0, 1)]
                        for side in sides},

@@ -320,8 +320,8 @@ def train(run, out_dir, resume_from=None):
     targets (``hold_targets``). Each step sends the ``Model`` to the
     workers its clips belong to; each returns per clip its loss and its
     gradient of loss / batch size, and they are summed here in batch
-    order: the bytes ``.grad`` held when one process back-propagated every
-    clip into the same leaves.
+    order, in place into the first clip's arrays: the bytes ``.grad`` held
+    when one process back-propagated every clip into the same leaves.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,8 +379,12 @@ def train(run, out_dir, resume_from=None):
                             f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
                         )
                     total += value
-                    grads = (clip_grads if grads is None else
-                             {name: g + clip_grads[name] for name, g in grads.items()})
+                    if grads is None:  # the sum's arrays: copy a read-only one
+                        grads = {name: g if g.flags.writeable else np.array(g)
+                                 for name, g in clip_grads.items()}
+                    else:
+                        for name, g in grads.items():
+                            np.add(g, clip_grads[name], out=g)
                 train_loss = total * (1.0 / len(batch))
                 grads = clip_gradients(grads)
                 lr = lr_at(step)

@@ -10,8 +10,9 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
-# perfbench/run.py stand-in: x_realtime VALUE on every run, except that a
-# run with --seed FAIL_SEED writes to stderr and exits 1 with no metrics.
+# perfbench/run.py stand-in: x_realtime VALUE on every run (a number, or an
+# expression of args.seed), except that a run with --seed FAIL_SEED writes
+# to stderr and exits 1 with no metrics.
 # Each run writes 8 MB, so it faults pages in and spends CPU time.
 STUB = """\
 import argparse, json, sys
@@ -40,7 +41,8 @@ def checkout(root, value, fail_seed=-1):
     shutil.copy(SCRIPT, root / "scripts" / "bench_pairs.py")
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     (root / "perfbench" / "run.py").write_text(
-        STUB.replace("VALUE", repr(value)).replace("FAIL_SEED", str(fail_seed)))
+        STUB.replace("VALUE", value if isinstance(value, str) else repr(value))
+        .replace("FAIL_SEED", str(fail_seed)))
     return root
 
 
@@ -59,6 +61,7 @@ def test_all_pairs_finish_and_are_summarized(tmp_path):
     report = json.loads((change / "BENCH_99.json").read_text())
     summary = report["workloads"]["w"]["summary"]["x_realtime"]
     assert summary["pairs"] == 10 and summary["change_won"] == 10
+    assert summary["verdict"] == "gain"
     assert report["workloads"]["w"]["failed"] == {"parent": [0, 30],
                                                   "change": [0, 30]}
     fields = {"minflt", "utime_s", "stime_s"}
@@ -100,6 +103,33 @@ def test_a_run_without_metrics_is_recorded_and_the_rest_kept(tmp_path):
     assert sum("change_rusage_per_op" in r for r in runs) == 9
     assert set(report["workloads"]["w"]["rusage"]["change_per_op"]) == {
         "minflt", "utime_s", "stime_s"}
+
+
+# seeds 1-10 of a noisy side read 2, 1, 2, 1, ...: median 1.5, quartiles
+# 1 and 2, a spread of 2/3 of the median against the bound of 1/4
+NOISY = "1.0 + int(args.seed) % 2"
+
+
+@pytest.mark.parametrize("parent_value, change_value, won, expected", [
+    (1.0, 2.0, 10, "gain"),
+    (1.0, 0.5, 0, "worse"),
+    (1.0, 1.0, 0, "unchanged"),
+    # every pair won, but by less than the parent's spread
+    (NOISY, "1.3 + int(args.seed) % 2", 10, "unresolved"),
+    (NOISY, 1.5, 5, "unresolved"),
+    # as noisy, but every change run beats every parent run
+    (NOISY, 2.1, 10, "unchanged"),
+])
+def test_each_metric_gets_a_verdict(tmp_path, parent_value, change_value,
+                                    won, expected):
+    parent = checkout(tmp_path / "parent", parent_value)
+    change = checkout(tmp_path / "change", change_value)
+    proc = bench_pairs(change, parent)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((change / "BENCH_99.json").read_text())
+    summary = report["workloads"]["w"]["summary"]["x_realtime"]
+    assert (summary["change_won"], summary["verdict"]) == (won, expected)
+    assert f"won {won}/10: {expected}\n" in proc.stdout
 
 
 def test_parent_that_is_this_checkout_is_refused(tmp_path):

@@ -2,6 +2,8 @@ import csv
 import json
 import operator
 import os
+import platform
+import resource
 import signal
 import struct
 import subprocess
@@ -578,6 +580,24 @@ class TestWorkerPool:
         tr.train(six_clip_run, tmp_path / "out")
         with workers.pool(3) as pool:
             assert list(workers.scatter(pool, eval, (), [held] * 3)) == [0, 0, 0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap settings are glibc's")
+    def test_a_worker_keeps_its_heap_between_clips(self):
+        tone = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(64000) / 16000)
+        usage = (resource.RUSAGE_SELF,)
+        env = {"MALLOC_MMAP_THRESHOLD_": "33554432",
+               "MALLOC_TRIM_THRESHOLD_": "1073741824"}
+        with workers.pool(1) as pool:
+            list(workers.scatter(pool, ft.extract_features, (), [tone] * 2))
+            (before,) = workers.scatter(pool, resource.getrusage, (), usage)
+            list(workers.scatter(pool, ft.extract_features, (), [tone] * 4))
+            (after,) = workers.scatter(pool, resource.getrusage, (), usage)
+            # with glibc's defaults each call faults its temporaries in
+            # again, ~8 000 minor faults
+            assert (after.ru_minflt - before.ru_minflt) / 4 < 1000
+            assert list(workers.scatter(pool, os.getenv, (), list(env))) == [
+                env[name] for name in env]
 
     def test_a_killed_worker_makes_train_raise_naming_it(self, tmp_path,
                                                          six_clip_run,
