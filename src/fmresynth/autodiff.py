@@ -7,8 +7,8 @@ float64, with the bias added in float64.
 
 The operator set is closed: every op listed in ``OP_KINDS`` has a forward
 implementation, a backward implementation, and a gradient-check entry.
-Ops are plain functions (``add(a, b)``, ``slice_(x, key)``, ...); Tensor
-defines no arithmetic or indexing operators.
+Ops are plain functions (``add(a, b)``, ``reduce_sum(x, axis)``, ...);
+Tensor defines no arithmetic or indexing operators.
 Graphs are built define-by-run: each produced Tensor keeps references to
 its parents and a closure that maps the incoming gradient to parent
 gradients. A graph is intended to be built, back-propagated once, and
@@ -18,19 +18,6 @@ discarded.
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = [
-    "Tensor",
-    "AutodiffError",
-    "OP_KINDS",
-    "add", "mul", "div", "sin", "exp", "log", "abs_",
-    "sigmoid", "relu", "conv1d_dilated", "linear_upsample", "stft_magnitude",
-    "spectral_l1", "reduce_sum", "dropout", "slice_", "fft_convolve",
-    "constant",
-    "parameter", "backward", "gradient_check", "check_gradients",
-    "hann_window", "next_fast_len",
-]
-
 
 # dtype of the products inside conv1d_dilated. check_gradients switches it
 # to float64 while it runs: central differences at its step cannot resolve
@@ -160,12 +147,6 @@ def div(a, b):
 # ---------------------------------------------------------------------------
 # elementwise unary ops
 
-def sin(x):
-    x = _as_tensor(x)
-    xv = x.values
-    return _make(np.sin(xv), "sin", (x,), lambda g: (g * np.cos(xv),))
-
-
 def exp(x):
     x = _as_tensor(x)
     ev = np.exp(x.values)
@@ -213,21 +194,6 @@ def reduce_sum(x, axis=None, keepdims=False):
         return (np.broadcast_to(gg, xv.shape).copy(),)
 
     return _make(xv.sum(axis=axis, keepdims=keepdims), "reduce_sum", (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# structural ops
-
-def slice_(x, key):
-    x = _as_tensor(x)
-    xv = x.values
-
-    def bwd(g):
-        out = np.zeros_like(xv)
-        out[key] = g
-        return (out,)
-
-    return _make(xv[key], "slice", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -281,42 +247,89 @@ def conv1d_dilated(x, w, b, dilation=1):
 
 
 def linear_upsample(x, factor):
-    """Linear interpolation along the last axis by an integer factor.
-
-    Frame t maps to sample t*factor; the final frame is held to keep
-    output length exactly T*factor.
+    """Linear interpolation of an array along its last axis by an integer
+    factor, forward only. Frame t maps to sample t*factor; the final frame
+    is held to keep output length exactly T*factor.
     """
-    x = _as_tensor(x)
     if factor < 1 or int(factor) != factor:
         raise AutodiffError(f"linear_upsample: bad factor {factor}")
     factor = int(factor)
-    xv = x.values
+    xv = np.asarray(x, dtype=np.float64)
     t = xv.shape[-1]
     frac = np.arange(factor) / factor
     # each frame blends into the next one; the last frame is its own next
     nxt = np.concatenate([xv[..., 1:], xv[..., -1:]], axis=-1)
-    out = (xv[..., :, None] * (1.0 - frac)
-           + nxt[..., :, None] * frac).reshape(xv.shape[:-1] + (t * factor,))
+    return (xv[..., :, None] * (1.0 - frac)
+            + nxt[..., :, None] * frac).reshape(xv.shape[:-1] + (t * factor,))
+
+
+def _upsample_adjoint(g, factor):
+    """The adjoint of ``linear_upsample`` on one row: [T*factor] -> [T]."""
+    frac = np.arange(factor) / factor
+    gk = g.reshape(-1, factor).T.copy()  # row k holds sample k of every frame
+    # add one sample at a time, in sample order: a frame's own samples,
+    # then the next-frame shares of the frame before, then (the held last
+    # frame only) its own. The envelope gradient oscillates at audio rate,
+    # so these sums cancel heavily and their rounding order shows in
+    # trained weights; a fixed order keeps it independent of how numpy or
+    # BLAS would block a sum.
+    gx = np.zeros(gk.shape[1])
+    for k in range(factor):
+        gx += gk[k] * (1.0 - frac[k])
+    for k in range(factor):
+        gx[1:] += gk[k, :-1] * frac[k]
+    for k in range(factor):
+        gx[-1] += gk[k, -1] * frac[k]
+    return gx
+
+
+def fm_render(env, phase, modulators, order, carriers, hop):
+    """The carriers' mean [T*hop] of a graph of sine oscillators.
+
+    env [n_osc, T] holds frame-rate levels, the only differentiable input.
+    Oscillator k, visited in ``order`` (modulators first), plays
+    linear_upsample(env[k], hop) * sin(phase(k) + the outputs of
+    ``modulators[k]`` added left to right); ``phase(k)`` returns a new
+    array the op may overwrite. Its backward needs each oscillator's
+    upsampled envelope, sine argument and sine, kept when env needs a
+    gradient.
+    """
+    env = _as_tensor(env)
+    ev = env.values
+    scale = 1.0 / len(carriers)
+    keep = {}
+    outs = [None] * len(ev)
+    for k in order:
+        env_up = linear_upsample(ev[k], hop)
+        arg = phase(k)
+        mods = [outs[m] for m in modulators[k]]
+        if mods:
+            arg += sum(mods[1:], mods[0])
+        if env._needs_grad:
+            keep[k] = env_up, arg, np.sin(arg)
+            outs[k] = env_up * keep[k][2]
+        else:  # a constant env keeps nothing: compute in place
+            outs[k] = np.multiply(env_up, np.sin(arg, out=arg), out=env_up)
+    total = sum((outs[c] for c in carriers[1:]), outs[carriers[0]])
+    total *= scale
 
     def bwd(g):
-        # row k holds sample k of every frame
-        gk = np.moveaxis(g.reshape(xv.shape + (factor,)), -1, 0).copy()
-        # add one sample at a time, in sample order: a frame's own samples,
-        # then the next-frame shares of the frame before, then (the held
-        # last frame only) its own. The envelope gradient oscillates at
-        # audio rate, so these sums cancel heavily and their rounding
-        # order shows in trained weights; a fixed order keeps it
-        # independent of how numpy or BLAS would block a sum.
-        gx = np.zeros(xv.shape)
-        for k in range(factor):
-            gx += gk[k] * (1.0 - frac[k])
-        for k in range(factor):
-            gx[..., 1:] += gk[k, ..., :-1] * frac[k]
-        for k in range(factor):
-            gx[..., -1] += gk[k, ..., -1] * frac[k]
+        # an output's gradient adds the carriers' share first, then that of
+        # each oscillator it modulates, in reverse ``order``
+        g_out = [g * scale if k in carriers else None for k in range(len(ev))]
+        gx = np.zeros(ev.shape)
+        for k in reversed(order):
+            if g_out[k] is None:  # feeds nothing that reaches the output
+                continue
+            env_up, arg, sine = keep[k]
+            gx[k] = _upsample_adjoint(g_out[k] * sine, hop)
+            g_arg = g_out[k] * env_up
+            g_arg *= np.cos(arg)
+            for m in modulators[k]:
+                g_out[m] = g_arg if g_out[m] is None else g_out[m] + g_arg
         return (gx,)
 
-    return _make(out, "linear_upsample", (x,), bwd)
+    return _make(total, "fm_render", (env,), bwd)
 
 
 def next_fast_len(n):
@@ -553,7 +566,8 @@ def check_gradients(fn, inputs, step=1e-5):
 
 
 def _check_gradients(fn, inputs, step):
-    tensors = [parameter(np.asarray(v, dtype=np.float64)) for v in inputs]
+    # contiguous, so that the flat view below writes through to the values
+    tensors = [parameter(np.ascontiguousarray(v, dtype=np.float64)) for v in inputs]
     out = fn(tensors)
     if not np.all(np.isfinite(out.values)):
         raise AutodiffError("check_gradients: non-finite forward value")
@@ -595,11 +609,11 @@ def _op_check_cases(seed):
     l1_mag = stft_magnitude(Tensor(l1_x), 64, 16).values
     l1_off = np.where(r.random(l1_mag.shape) < 0.5, -0.5, 0.5)
     l1_lin, l1_log = l1_mag + l1_off, np.log(l1_mag + 1e-6) + l1_off
+    phases = v(4, 20)
     cases = {
         "add": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(add(t[0], t[1]))),
         "mul": ([v(3, 4), v(3, 4)], lambda t: reduce_sum(mul(t[0], t[1]))),
         "div": ([v(3, 4), pos(3, 4)], lambda t: reduce_sum(div(t[0], t[1]))),
-        "sin": ([v(6)], lambda t: reduce_sum(sin(sin(t[0])))),
         "exp": ([v(6)], lambda t: reduce_sum(exp(t[0]))),
         "log": ([pos(6)], lambda t: reduce_sum(log(t[0]))),
         "abs": ([_margin(v(6))], lambda t: reduce_sum(abs_(t[0]))),
@@ -607,20 +621,22 @@ def _op_check_cases(seed):
         "relu": ([_margin(v(8))], lambda t: reduce_sum(mul(relu(t[0]), t[0]))),
         "conv1d_dilated": (
             [v(1, 8), v(2, 1, 3), v(2, 1)],
-            lambda t: reduce_sum(sin(conv1d_dilated(t[0], t[1], t[2], dilation=2))),
+            lambda t: reduce_sum(exp(conv1d_dilated(t[0], t[1], t[2], dilation=2))),
         ),
-        "linear_upsample": ([v(5)], lambda t: reduce_sum(sin(linear_upsample(t[0], 4)))),
+        # oscillator 2 feeds 0 and 1; carrier 1 also modulates 0
+        "fm_render": ([v(4, 5)], lambda t: reduce_sum(exp(fm_render(
+            t[0], lambda k: phases[k].copy(), ((1, 2), (2,), (3,), ()),
+            (3, 2, 1, 0), (0, 1), 4)))),
         "spectral_l1": (
             [l1_x],
             lambda t: spectral_l1(t[0], l1_lin, l1_log, 64, 16, 1e-6),
         ),
-        "reduce_sum": ([v(3, 4)], lambda t: reduce_sum(sin(reduce_sum(t[0], axis=1)))),
+        "reduce_sum": ([v(3, 4)], lambda t: reduce_sum(exp(reduce_sum(t[0], axis=1)))),
         "dropout": (
             [v(10)],
             lambda t: reduce_sum(_fixed_mask_dropout(t[0], drop_mask, 0.5)),
         ),
-        "slice": ([v(4, 6)], lambda t: reduce_sum(sin(slice_(t[0], (slice(1, 3), slice(None, None, 2)))))),
-        "fft_convolve": ([v(12), v(5)], lambda t: reduce_sum(sin(fft_convolve(t[0], t[1])))),
+        "fft_convolve": ([v(12), v(5)], lambda t: reduce_sum(exp(fft_convolve(t[0], t[1])))),
     }
     return cases
 

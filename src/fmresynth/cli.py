@@ -154,10 +154,10 @@ def _cmd_render(args):
         t_frames = int(round(frames))
         f0 = np.full(t_frames, float(args.f0))
     else:
-        f0 = _npz_array(args.f0, "f0", 1)
+        f0 = ds.load_npz_array(args.f0, "f0", 1)
         t_frames = len(f0)
     if args.envelopes:
-        env = _npz_array(args.envelopes, "envelopes", 2)
+        env = ds.load_npz_array(args.envelopes, "envelopes", 2)
         if env.shape[0] != t_frames:
             raise UsageError(
                 f"envelope file has {env.shape[0]} frames, expected {t_frames}"
@@ -174,21 +174,6 @@ def _cmd_render(args):
     ds.write_wav(out, audio)
     print(f"wrote {out} ({len(audio)} samples)")
     return 0
-
-
-def _npz_array(path, key, ndim):
-    """The `key` array of an npz file as float64. A ValueError names the
-    file when it is no npz, or the key is missing or not `ndim`-D."""
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an npz file")
-    with data:
-        if key not in data.files:
-            raise ValueError(f"{path}: no {key!r} array")
-        arr = np.asarray(data[key], dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
-    return arr
 
 
 def _is_number(text):

@@ -399,12 +399,23 @@ def load_clip(out_dir, record):
     track = ft.load_features(out_dir / record.features_path)
     env = None
     if record.envelopes_path:
-        with np.load(out_dir / record.envelopes_path) as data:
-            if "envelopes" not in data.files:
-                raise ValueError(f"{out_dir / record.envelopes_path}: "
-                                 "no 'envelopes' array")
-            env = data["envelopes"]
+        env = load_npz_array(out_dir / record.envelopes_path, "envelopes", 2)
     return audio, track, env
+
+
+def load_npz_array(path, key, ndim):
+    """The `key` array of an npz file as float64. A ValueError names the
+    file when it is no npz, or the key is missing or not `ndim`-D."""
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an npz file")
+    with data:
+        if key not in data.files:
+            raise ValueError(f"{path}: no {key!r} array")
+        arr = np.asarray(data[key], dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------

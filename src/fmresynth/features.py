@@ -235,11 +235,14 @@ def save_features(path, track):
 
 def load_features(path):
     """FeatureTrack from a cache file; raises ValueError naming the file for
-    a missing key, a version, sample_rate or hop that is not an integer
-    scalar, another version, a grid other than SAMPLE_RATE/HOP, or tracks
-    that are not 1-D with one frame count."""
+    one that is no npz, a missing key, a version, sample_rate or hop that
+    is not an integer scalar, another version, a grid other than
+    SAMPLE_RATE/HOP, or tracks that are not 1-D with one frame count."""
     expected = (FEATURE_VERSION, SAMPLE_RATE, HOP)
-    with np.load(path) as data:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an npz file")
+    with data:
         try:
             grid = [data[k] for k in ("version", "sample_rate", "hop")]
             tracks = data["f0"], data["confidence"], data["loudness"]

@@ -233,30 +233,13 @@ def render(config, env, spec, i_max=None):
         )
     _validate_env_bounds(config, env.values, i_max)
 
-    hop = spec.hop
-    n_samples = t_frames * hop
-    f0_up = ad.linear_upsample(ad.constant(f0), hop).values
-
-    # constant phase track per oscillator: 2*pi*cumsum(r * f0 / sr)
-    osc_out = [None] * n_osc
-    env_rows = [ad.slice_(env, (k, slice(None))) for k in range(n_osc)]
-    for k in config.topological_order:
-        osc = config.oscillators[k]
-        phase = 2.0 * np.pi * np.cumsum(osc.ratio * f0_up / spec.sample_rate)
-        mod_in = None
-        for m in config.modulators[k]:
-            mod_in = osc_out[m] if mod_in is None else ad.add(mod_in, osc_out[m])
-        arg = ad.constant(phase) if mod_in is None else ad.add(ad.constant(phase), mod_in)
-        env_up = ad.linear_upsample(env_rows[k], hop)
-        osc_out[k] = ad.mul(env_up, ad.sin(arg))
-
-    carriers = config.carrier_indices
-    total = osc_out[carriers[0]]
-    for c in carriers[1:]:
-        total = ad.add(total, osc_out[c])
-    out = ad.mul(total, ad.constant(1.0 / len(carriers)))
-    assert out.values.shape == (n_samples,)
-    return out
+    f0_up = ad.linear_upsample(f0, spec.hop)
+    # oscillator k's phase track: 2*pi*cumsum(r_k * f0 / sr)
+    phase = lambda k: 2.0 * np.pi * np.cumsum(
+        config.oscillators[k].ratio * f0_up / spec.sample_rate)
+    return ad.fm_render(env, phase, config.modulators,
+                        config.topological_order, config.carrier_indices,
+                        spec.hop)
 
 
 def _validate_env_bounds(config, values, i_max):

@@ -6,12 +6,13 @@ Each worker is ``python -c`` started with ``subprocess`` (never a
 ``multiprocessing`` start method, which re-imports an unguarded
 ``__main__``), with every BLAS library held to one thread, so a clip's
 numbers do not depend on the host's cores, and with glibc's heap held
-warm (``MALLOC_ENV``, below). Parent and worker exchange pickled tuples
-over the worker's stdin and stdout. A request names its work: ``(caller's
-cwd, fn, args, items)``, with ``fn`` a module-level function pickled by
-reference. The worker changes to the caller's directory and replies
-``("ok", fn(*args, item))`` per item, in order; the first item that
-raises is answered with ``("error", exception, traceback text)`` and
+warm (``MALLOC_ENV``, below). Parent and worker exchange pickles over the
+worker's stdin and stdout. A request names its work: ``(caller's cwd, fn,
+args, items)``, with ``fn`` a module-level function pickled by reference,
+and travels as pickled bytes, so one the worker cannot unpickle is
+answered as an error. The worker changes to the caller's directory and
+replies ``("ok", fn(*args, item))`` per item, in order; the first item
+that raises is answered with ``("error", exception, traceback text)`` and
 nothing more for that request. ``scatter`` deals a call's items out, item
 j to worker j mod n, and reads their replies back in item order. ``held``
 is where a call leaves values in a worker for its own later requests; the
@@ -74,13 +75,13 @@ def unpack(reply):
     return payload[0]
 
 
-def answer(message, reply):
-    """Answer one request (see the module docstring) through ``reply``."""
-    cwd, fn, args, items = message
-    if fn is None:  # END
-        held.clear()
-        return
+def answer(request, reply):
+    """Answer one pickled request (see the module docstring) via ``reply``."""
     try:
+        cwd, fn, args, items = pickle.loads(request)
+        if fn is None:  # END
+            held.clear()
+            return
         os.chdir(cwd)
         for item in items:
             reply(("ok", fn(*args, item)))
@@ -106,8 +107,9 @@ class Worker:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
 
     def send(self, message):
+        request = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         try:
-            pickle.dump(message, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(request, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
         except OSError:
             raise self._exited() from None
@@ -206,9 +208,9 @@ def serve():
     sender.start()
     while True:
         try:
-            message = pickle.load(requests)
+            request = pickle.load(requests)
         except EOFError:
             break
-        answer(message, outbox.put)
+        answer(request, outbox.put)
     outbox.put(None)
     sender.join()

@@ -48,7 +48,7 @@ class InProcessWorker:
         self.replies = []
 
     def send(self, message):
-        workers.answer(pickle.loads(pickle.dumps(message)), self.replies.append)
+        workers.answer(pickle.dumps(message), self.replies.append)
 
     def recv(self):
         return workers.unpack(self.replies.pop(0))

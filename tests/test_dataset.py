@@ -256,6 +256,19 @@ class TestSyntheticCorpus:
         assert env.shape == (ds.FRAMES_PER_CLIP, 2)
         assert len(audio) == ds.CLIP_SAMPLES
 
+    def test_envelopes_that_are_no_npz_are_a_value_error_naming_the_file(
+            self, tmp_path, two_osc_config):
+        manifest = ds.synth_corpus(two_osc_config, 2, seed=0,
+                                   out_dir=tmp_path)
+        record = manifest.records[0]
+        path = tmp_path / record.envelopes_path
+        with open(path, "wb") as fh:  # .npy bytes under the .npz name
+            np.save(fh, np.zeros((ds.FRAMES_PER_CLIP, 2)))
+        with pytest.raises(ValueError, match=f"{path}: not an npz file"):
+            ds.load_clip(tmp_path, record)
+        assert ds.lint_corpus(manifest, tmp_path) == [
+            f"{record.clip_id}: unreadable cache ({path}: not an npz file)"]
+
     def test_corpus_does_not_depend_on_the_worker_count(self, tmp_path,
                                                         two_osc_config,
                                                         monkeypatch):

@@ -245,6 +245,13 @@ class TestCache:
         assert np.array_equal(loaded.f0_hz, track.f0_hz)
         assert np.array_equal(loaded.loudness_db, track.loudness_db)
 
+    def test_npy_bytes_are_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "f.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ValueError, match=f"{path}: not an npz file"):
+            ft.load_features(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         track = ft.extract_features(np.zeros(6400))
         path = tmp_path / "f.npz"

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from importlib import resources
 from pathlib import Path
 
+from fmresynth import autodiff as ad
 from fmresynth import fmsynth as fm
 from fmresynth.fmsynth import ConfigError, FmConfig, Oscillator
 
@@ -13,6 +16,36 @@ from conftest import packaged_config, piecewise_envelopes
 BUNDLED = ["flute1", "flute1_4y", "flute1_2",
            "strings1", "strings1_4x1", "strings1_2x2", "strings1_2",
            "brass3", "brass3_4y", "brass3_2"]
+
+# no bundled patch feeds one oscillator into two others, or has a carrier
+# that also modulates: numbered from 1 as in a patch file, oscillator 3
+# feeds 1 and 2, and carrier 2 feeds 1
+FAN_OUT = FmConfig(name="fan_out", oscillators=(
+    Oscillator(ratio=1.0, carrier=True),
+    Oscillator(ratio=2.0, carrier=True, modulates=(0,)),
+    Oscillator(ratio=1.0, modulates=(0, 1)),
+    Oscillator(ratio=3.0, modulates=(2,)),
+))
+
+
+def reference_render(config, env, f0, hop=64, sr=16000):
+    """The render as a plain numpy loop over [T, n_osc] envelopes."""
+    frac = np.arange(hop) / hop
+
+    def upsample(x):
+        nxt = np.append(x[1:], x[-1])
+        return (x[:, None] * (1.0 - frac) + nxt[:, None] * frac).ravel()
+
+    f0_up = upsample(f0)
+    outs = {}
+    for k in config.topological_order:
+        arg = 2.0 * np.pi * np.cumsum(config.oscillators[k].ratio * f0_up / sr)
+        if config.modulators[k]:
+            arg = arg + functools.reduce(np.add, [outs[m] for m in
+                                                  config.modulators[k]])
+        outs[k] = upsample(env[:, k]) * np.sin(arg)
+    carriers = [outs[c] for c in config.carrier_indices]
+    return functools.reduce(np.add, carriers) * (1.0 / len(carriers))
 
 
 class TestConfigValidation:
@@ -206,6 +239,32 @@ class TestRender:
         b = fm.render(two, np.ones((t_frames, 2)), spec).values
         assert np.allclose(a, b)
         assert np.max(np.abs(b)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("name", BUNDLED + ["fan_out"])
+    def test_render_equals_a_plain_loop_bit_for_bit(self, name):
+        config = FAN_OUT if name == "fan_out" else fm.load_config(
+            packaged_config(name))
+        rng = np.random.default_rng(7)
+        env = piecewise_envelopes(config, 120, seed=3)
+        f0 = rng.uniform(100.0, 500.0, 120)
+        f0[40:50] = 0.0
+        out = fm.render(config, env, fm.RenderSpec(f0_frames=f0), i_max=2.0)
+        assert np.array_equal(out.values, reference_render(config, env, f0))
+
+    def test_gradients_match_finite_differences_through_a_fan_out(self):
+        t_frames = 6
+        spec = fm.RenderSpec(f0_frames=np.linspace(300.0, 450.0, t_frames))
+        g = np.random.default_rng(2).standard_normal(t_frames * 64)
+        env = piecewise_envelopes(FAN_OUT, t_frames, seed=4).T
+        err = ad.check_gradients(
+            lambda t: ad.reduce_sum(ad.mul(fm.render(FAN_OUT, t[0], spec),
+                                           ad.constant(g))), [env])
+        assert err < 1e-6
+
+    def test_a_parameter_envelope_puts_one_node_on_the_tape(self):
+        env = ad.parameter(piecewise_envelopes(FAN_OUT, 10, seed=0).T)
+        out = fm.render(FAN_OUT, env, fm.RenderSpec(f0_frames=np.full(10, 220.0)))
+        assert out._op == "fm_render" and out._parents == (env,)
 
     def test_sideband_amplitudes_match_bessel_series(self):
         # carrier at 10*f0, modulator at f0: sidebands at f_c +- n*f_m

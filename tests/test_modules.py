@@ -1,12 +1,15 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import fmresynth
+from fmresynth import autodiff as ad
 
 SRC = Path(fmresynth.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def private_reads(path):
@@ -88,3 +91,10 @@ def test_importing_the_package_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.stdout == "[]\nFalse\n"
+
+
+def test_the_readme_autodiff_row_states_the_op_set():
+    (row,) = [line for line in README.read_text().splitlines()
+              if line.startswith("| `fmresynth.autodiff` |")]
+    assert f"a closed set of {len(ad.OP_KINDS)} ops" in row
+    assert [k for k in ad.OP_KINDS if not re.search(rf"\b{k}\b", row)] == []

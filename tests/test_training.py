@@ -477,6 +477,11 @@ class TestGradientAccumulation:
         assert len(set(calls)) == 8  # no clip's targets are built twice
 
 
+def triple(x):
+    """A module-level function that only this test module can import."""
+    return 3 * x
+
+
 class TestWorkerPool:
     @pytest.fixture
     def six_clip_run(self, tmp_path, two_osc_config):
@@ -580,6 +585,18 @@ class TestWorkerPool:
         tr.train(six_clip_run, tmp_path / "out")
         with workers.pool(3) as pool:
             assert list(workers.scatter(pool, eval, (), [held] * 3)) == [0, 0, 0]
+
+    def test_a_request_no_worker_can_unpickle_raises_in_the_caller(
+            self, tmp_path, monkeypatch):
+        workers.close_all()
+        monkeypatch.chdir(tmp_path)  # the workers start where no test module is
+        with pytest.raises(ImportError, match="test_training") as info:
+            with workers.pool(2) as pool:
+                list(workers.scatter(pool, triple, (), [1, 2]))
+        assert isinstance(info.value.__cause__, workers.RemoteTraceback)
+        with workers.pool(2) as pool:
+            results = workers.scatter(pool, operator.add, (1,), [1, 2, 3])
+            assert list(results) == [2, 3, 4]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap settings are glibc's")
