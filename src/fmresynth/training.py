@@ -14,7 +14,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,47 +91,49 @@ def lr_at(step):
 
 
 def clip_gradients(grads):
-    """Scale the whole gradient set so its global L2 norm is <= CLIP_NORM."""
+    """Scale the gradient set {name: array} in place so its global L2 norm,
+    summed name by name, is <= CLIP_NORM; returns it."""
     total = 0.0
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient")
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
-    if norm <= CLIP_NORM:
-        return grads
-    scale = CLIP_NORM / norm
-    return {k: g * scale for k, g in grads.items()}
+    if norm > CLIP_NORM:
+        for g in grads.values():
+            g *= CLIP_NORM / norm
+    return grads
 
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's defaults
 
 
-def adam_step(params, grads, state, lr):
-    """Standard bias-corrected Adam update, in place on params."""
+def adam_step(values, grad, state, lr):
+    """Bias-corrected Adam, in place on the array values; step 1 sets state.m, .v."""
     state.t += 1
-    t = state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.values)
-            state.v[name] = np.zeros_like(p.values)
-        v = state.v[name]
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - _BETA1 ** t)
-        v_hat = v / (1.0 - _BETA2 ** t)
-        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * grad
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * grad * grad
+    m_hat = state.m / (1.0 - _BETA1 ** state.t)
+    v_hat = state.v / (1.0 - _BETA2 ** state.t)
+    values -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
+
+
+def flat_views(flat, named):
+    """{name: view of flat shaped like that tensor's values}, in named's order."""
+    ends = np.cumsum([p.values.size for p in named.values()])
+    return {name: part.reshape(p.values.shape)
+            for (name, p), part in zip(named.items(), np.split(flat, ends[:-1]))}
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +145,14 @@ def adam_step(params, grads, state, lr):
 # Blobs are ordered by name, so save -> load -> save is byte-identical.
 
 def save_checkpoint(path, run, step, params, reverb_params, adam):
-    blobs = {}
-    for name, p in {**params, **reverb_params}.items():
+    named = {**params, **reverb_params}
+    blobs = {"adam_t": np.array([float(adam.t)])}
+    for name, p in named.items():
         blobs[f"param/{name}"] = np.atleast_1d(np.asarray(p.values, dtype=np.float64))
-    for name, m in adam.m.items():
-        blobs[f"adam_m/{name}"] = np.atleast_1d(m)
-    for name, v in adam.v.items():
-        blobs[f"adam_v/{name}"] = np.atleast_1d(v)
-    blobs["adam_t"] = np.array([float(adam.t)])
+    for key, flat in (("adam_m", adam.m), ("adam_v", adam.v)):
+        if flat is not None:
+            for name, arr in flat_views(flat, named).items():
+                blobs[f"{key}/{name}"] = np.atleast_1d(arr)
 
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
            run.digest(), struct.pack("<Q", step),
@@ -276,10 +278,11 @@ class Model:
             np.copyto(p.values, blob(f"param/{name}", p.values.shape))
         if adam is not None:
             adam.t = int(blob("adam_t", (1,))[0])
-            for name, p in named.items():
-                for key, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
-                    if f"{key}/{name}" in blobs:
-                        moments[name] = blob(f"{key}/{name}", p.values.shape)
+            if adam.t > 0:  # Adam has stepped: every moment is in the file
+                adam.m, adam.v = np.empty((2, tcn.parameter_count(named)))
+                for key, flat in (("adam_m", adam.m), ("adam_v", adam.v)):
+                    for name, arr in flat_views(flat, named).items():
+                        np.copyto(arr, blob(f"{key}/{name}", arr.shape))
         return step
 
     def forward(self, track, mode="inference", seed=0):
@@ -299,14 +302,6 @@ class Model:
         return env, dry, wet
 
 
-def _validation_loss(model, clips):
-    total = 0.0
-    for audio, track in clips:
-        _env, _dry, wet = model.forward(track)
-        total += sp.mss_loss(audio, wet).item()
-    return total / len(clips)
-
-
 def train(run, out_dir, resume_from=None):
     """Run the optimization; returns the final checkpoint path.
 
@@ -314,19 +309,21 @@ def train(run, out_dir, resume_from=None):
     valid_loss) under out_dir. A resume keeps the log's rows before its
     step and writes the rest again.
 
-    The clips of a step run ``clip_step`` in worker processes (see
-    ``workers``), one per core up to the batch size. The train clip at
-    index i of its split belongs to worker i mod n, which alone holds its
-    targets (``hold_targets``). Each step sends the ``Model`` to the
-    workers its clips belong to; each returns per clip its loss and its
-    gradient of loss / batch size, and they are summed here in batch
-    order, in place into the first clip's arrays: the bytes ``.grad`` held
-    when one process back-propagated every clip into the same leaves.
+    The weights, each step's gradient and Adam's moments are one vector
+    each, in ``Model.named_params()`` order. A step's clips run
+    ``clip_step`` in worker processes (see ``workers``); train clip i and
+    valid clip k belong to workers i mod n and k mod n, which alone hold
+    their targets (``hold_targets``). Their gradients are summed here in
+    batch order, so the bytes do not depend on n (README, Determinism).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = ds.load_manifest(Path(run.corpus_dir) / "manifest.json")
     model = Model.build(run)
+    named = model.named_params()
+    weights = np.concatenate([p.values for p in named.values()], axis=None)
+    for name, view in flat_views(weights, named).items():
+        named[name].values = view
     adam = AdamState()
 
     start_step = 0
@@ -342,14 +339,8 @@ def train(run, out_dir, resume_from=None):
         owner = {r.clip_id: pool[i % len(pool)]
                  for i, r in enumerate(train_records)}
         # wait until every worker holds its clips' targets
-        list(workers.scatter(pool, hold_targets, (run.corpus_dir,),
-                             train_records))
-        valid_clips = []
-        for r in valid_records:
-            audio, track, _env = ds.load_clip(run.corpus_dir, r)
-            valid_clips.append((sp.target_spectrograms(audio), track))
-
-        all_params = model.named_params()
+        for records in (train_records, valid_records):
+            list(workers.scatter(pool, hold_targets, (run.corpus_dir,), records))
         batches_per_epoch = max(1, int(np.ceil(len(train_records) / run.batch)))
         log_path = out_dir / "loss_log.csv"
         rows = (log_path.read_text().splitlines(True)[1:]
@@ -370,30 +361,32 @@ def train(run, out_dir, resume_from=None):
                     if clips:
                         worker.run(clip_step, (model, run.seed, step, len(batch)),
                                    clips)
-                grads = None
+                grad = None
                 total = 0.0
                 for record in batch:
-                    value, clip_grads = owner[record.clip_id].recv()
+                    value, clip_grad = owner[record.clip_id].recv()
                     if not np.isfinite(value):
                         raise FloatingPointError(
                             f"non-finite loss at step {step}; last checkpoint: {last_ckpt}"
                         )
                     total += value
-                    if grads is None:  # the sum's arrays: copy a read-only one
-                        grads = {name: g if g.flags.writeable else np.array(g)
-                                 for name, g in clip_grads.items()}
+                    if grad is None:  # the first clip's vector holds the sum
+                        grad = clip_grad
                     else:
-                        for name, g in grads.items():
-                            np.add(g, clip_grads[name], out=g)
+                        np.add(grad, clip_grad, out=grad)
                 train_loss = total * (1.0 / len(batch))
-                grads = clip_gradients(grads)
+                clip_gradients(flat_views(grad, named))
                 lr = lr_at(step)
-                adam_step(all_params, grads, adam, lr)
+                adam_step(weights, grad, adam, lr)
 
                 valid_loss = ""
                 is_ckpt = (step + 1) % run.checkpoint_every == 0 or step + 1 == run.steps
-                if is_ckpt and valid_clips:
-                    valid_loss = f"{_validation_loss(model, valid_clips):.10g}"
+                if is_ckpt and valid_records:
+                    valid_total = 0.0
+                    for value in workers.scatter(pool, valid_clip_loss, (model,),
+                                                 valid_records):
+                        valid_total += value
+                    valid_loss = f"{valid_total / len(valid_records):.10g}"
                 logfh.write(f"{step},{lr:.10g},{train_loss:.10g},{valid_loss}\n")
                 if is_ckpt:
                     # flush first: a run killed after this checkpoint then
@@ -406,16 +399,14 @@ def train(run, out_dir, resume_from=None):
 
 
 def hold_targets(corpus_dir, record):
-    """Keep a train clip's target spectrograms and FeatureTrack in this
-    worker's ``workers.held``, for the ``clip_step``s of the call."""
+    """Keep a clip's target spectrograms and FeatureTrack in ``workers.held``."""
     audio, track, _env = ds.load_clip(corpus_dir, record)
     workers.held[record.clip_id] = (sp.target_spectrograms(audio), track)
 
 
 def clip_step(model, seed, step, batch_size, clip):
-    """One clip's part of a training step, in the worker that holds its
-    targets: clip is (batch position, clip id). Returns (loss, {name: grad
-    of loss / batch_size, or None where none reached it})."""
+    """One clip's part of a step, clip being (batch position, clip id): (loss,
+    the grad of loss / batch_size as one vector, or None if loss is not finite)."""
     j, clip_id = clip
     targets, track = workers.held[clip_id]
     named = model.named_params()
@@ -425,9 +416,17 @@ def clip_step(model, seed, step, batch_size, clip):
                                     seed=_dropout_seed(seed, step, j))
     loss = sp.mss_loss(targets, wet)
     value = loss.item()
-    if np.isfinite(value):
-        ad.backward(ad.mul(loss, ad.constant(1.0 / batch_size)))
-    return value, {name: p.grad for name, p in named.items()}
+    if not np.isfinite(value):
+        return value, None
+    ad.backward(ad.mul(loss, ad.constant(1.0 / batch_size)))
+    return value, np.concatenate([p.grad for p in named.values()], axis=None)
+
+
+def valid_clip_loss(model, record):
+    """A valid clip's MSS loss, in the worker that holds its targets."""
+    targets, track = workers.held[record.clip_id]
+    _env, _dry, wet = model.forward(track)
+    return sp.mss_loss(targets, wet).item()
 
 
 def _dropout_seed(seed, step, clip_index):
@@ -459,7 +458,7 @@ def match_envelopes(config, target_audio, f0_frames, i_max=2.0,
         history.append(loss.item())
         z.zero_grad()
         ad.backward(loss)
-        adam_step({"z": z}, {"z": z.grad}, adam,
+        adam_step(z.values, z.grad, adam,
                   lr * 0.5 ** (step // lr_half_every))
     env = 1.0 / (1.0 + np.exp(-z.values)) * config.a_max(i_max)[:, None]
     return env.T, history

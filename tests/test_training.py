@@ -79,7 +79,7 @@ class TestAdam:
         # with bias correction, |step 1| == lr for any gradient scale
         p = ad.parameter(np.array([1.0, -2.0]))
         g = np.array([0.3, -7.0])
-        tr.adam_step({"p": p}, {"p": g}, tr.AdamState(), lr=0.1)
+        tr.adam_step(p.values, g, tr.AdamState(), lr=0.1)
         assert np.allclose(p.values, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_matches_reference_trajectory(self):
@@ -90,7 +90,7 @@ class TestAdam:
         x = 2.0
         for t in range(1, 5):
             g = 2.0 * p.values.copy()
-            tr.adam_step({"p": p}, {"p": g}, state, lr=0.05)
+            tr.adam_step(p.values, g, state, lr=0.05)
             gm = 2.0 * x
             m = 0.9 * m + 0.1 * gm
             v = 0.999 * v + 0.001 * gm * gm
@@ -119,9 +119,9 @@ class TestCheckpoints:
 
     def test_roundtrip_byte_identical(self, tmp_path, tiny_run):
         spec, params, reverb_params = self._model(tiny_run)
-        adam = tr.AdamState()
-        adam.m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        adam.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        size = tcn.parameter_count({**params, **reverb_params})
+        adam = tr.AdamState(m=np.linspace(-1.0, 1.0, size),
+                            v=np.linspace(0.0, 2.0, size), t=2)
         p1 = tmp_path / "a.ckpt"
         tr.save_checkpoint(p1, tiny_run, 42, params, reverb_params, adam)
         model = tr.Model.build(tiny_run)
@@ -159,6 +159,44 @@ class TestCheckpoints:
                          "--run", str(tmp_path / "run.json"),
                          "--input", str(tmp_path / "in.wav"),
                          "--out", str(tmp_path / "out")]) == 2
+
+    def test_missing_adam_moment_is_a_value_error(self, tmp_path, tiny_run):
+        # a checkpoint of Adam's step 3, written by hand in the container
+        # format of README "File formats"
+        run = replace(tiny_run, hidden_channels=4, blocks=1)
+        model = tr.Model.build(run)
+        blobs = {"adam_t": np.array([3.0])}
+        for name, p in model.named_params().items():
+            values = blobs[f"param/{name}"] = np.atleast_1d(p.values)
+            blobs[f"adam_m/{name}"] = np.full(values.shape, 0.1)
+            blobs[f"adam_v/{name}"] = np.full(values.shape, 0.01)
+
+        def write(name):
+            out = [tr.CHECKPOINT_MAGIC, struct.pack("<I", tr.CHECKPOINT_VERSION),
+                   run.digest(), struct.pack("<QI", 3, len(blobs))]
+            for key in sorted(blobs):
+                arr = blobs[key]
+                out += [struct.pack("<H", len(key)), key.encode(),
+                        struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                        arr.astype("<f8").tobytes()]
+            data = b"".join(out)
+            (tmp_path / name).write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+            return tmp_path / name
+
+        whole = write("whole.ckpt")
+        del blobs["adam_m/out.b"]
+        with pytest.raises(ValueError, match=r"partial.ckpt: blob 'adam_m/out.b'"):
+            model.restore(run, write("partial.ckpt"), tr.AdamState())
+        adam = tr.AdamState()
+        assert model.restore(run, whole, adam) == 3
+        assert adam.t == 3 and np.all(adam.m == 0.1) and np.all(adam.v == 0.01)
+        # a fresh AdamState (step 0, no moments) still loads as one
+        fresh = tmp_path / "fresh.ckpt"
+        tr.save_checkpoint(fresh, run, 0, model.params, model.reverb_params,
+                           tr.AdamState())
+        adam = tr.AdamState()
+        assert model.restore(run, fresh, adam) == 0
+        assert adam == tr.AdamState()
 
     def test_missing_parameter_blob_is_a_value_error(self, tmp_path,
                                                      small_checkpoint):
@@ -275,10 +313,8 @@ def fuzz_target(tmp_path_factory):
                        patch_path=packaged_config("strings1_2"),
                        hidden_channels=4, blocks=1)
     model = tr.Model.build(run)
-    adam = tr.AdamState(t=3)
-    for name, p in model.named_params().items():
-        adam.m[name] = np.full_like(p.values, 0.1)
-        adam.v[name] = np.full_like(p.values, 0.01)
+    size = tcn.parameter_count(model.named_params())
+    adam = tr.AdamState(m=np.full(size, 0.1), v=np.full(size, 0.01), t=3)
     path = root / "base.ckpt"
     tr.save_checkpoint(path, run, 5, model.params, model.reverb_params, adam)
     data = path.read_bytes()
@@ -423,8 +459,9 @@ class TestGradientAccumulation:
                                                         monkeypatch):
         seen = []
         clip = tr.clip_gradients
-        monkeypatch.setattr(tr, "clip_gradients", lambda grads:
-                            seen.append(dict(grads)) or clip(grads))
+        # copies: clipping scales the arrays in place
+        monkeypatch.setattr(tr, "clip_gradients", lambda grads: seen.append(
+            {name: g.copy() for name, g in grads.items()}) or clip(grads))
         tr.train(pair_run, tmp_path / "out")
         (accumulated,) = seen
 
@@ -450,13 +487,22 @@ class TestGradientAccumulation:
 
     def test_one_backward_per_clip_per_step(self, tmp_path, pair_run,
                                             monkeypatch, in_process_workers):
-        calls = []
-        backward = ad.backward
+        calls, replies = [], []
+        backward, unpack = ad.backward, workers.unpack
         monkeypatch.setattr(ad, "backward",
                             lambda loss: calls.append(loss) or backward(loss))
+        monkeypatch.setattr(workers, "unpack", lambda reply:
+                            replies.append(unpack(reply)) or replies[-1])
         run = replace(pair_run, steps=3)
         tr.train(run, tmp_path / "out")
         assert len(calls) == run.steps * run.batch
+        # a clip's reply is its loss and one gradient vector
+        size = tcn.parameter_count(tr.Model.build(run).named_params())
+        steps = [r for r in replies if r is not None]  # not hold_targets'
+        assert len(steps) == run.steps * run.batch
+        for _loss, grad in steps:
+            assert isinstance(grad, np.ndarray) and grad.dtype == np.float64
+            assert grad.shape == (size,) and grad.flags.c_contiguous
 
     def test_target_cache_skips_the_test_split(self, tmp_path, two_osc_config,
                                                monkeypatch, in_process_workers):
@@ -498,13 +544,14 @@ class TestWorkerPool:
                                                        monkeypatch):
         manifest = ds.load_manifest(tmp_path / "corpus" / "manifest.json")
         train_ids = [r.clip_id for r in manifest.split_records("train")]
-        assert len(train_ids) == 6 and manifest.split_records("valid")
+        valid_ids = [r.clip_id for r in manifest.split_records("valid")]
+        assert len(train_ids) == 6 and len(valid_ids) == 2
         begun = []
         send = workers.Worker.send
 
         def spy(worker, message):
             if message[1] is tr.hold_targets:
-                begun.append([r.clip_id for r in message[3]])
+                begun.append((worker.index, [r.clip_id for r in message[3]]))
             send(worker, message)
 
         monkeypatch.setattr(workers.Worker, "send", spy)
@@ -515,9 +562,12 @@ class TestWorkerPool:
             tr.train(six_clip_run, tmp_path / f"w{n}")
             outputs.append({p.name: p.read_bytes()
                             for p in (tmp_path / f"w{n}").iterdir()})
-            # each train clip's targets are held by exactly one worker
-            assert len(begun) == n
-            assert sorted(sum(begun, [])) == sorted(train_ids)
+            # train clip i and valid clip k are held by workers i mod n and
+            # k mod n alone
+            assert len(begun) == 2 * n
+            for ids, requests in ((train_ids, begun[:n]), (valid_ids, begun[n:])):
+                assert sorted(sum((held for _w, held in requests), [])) == sorted(ids)
+                assert all(held == ids[w::n] for w, held in requests)
             pids.append([w.proc.pid for w in workers._WORKERS[:n]])
         # the workers outlive each call: a later call starts only the ones
         # it adds
