@@ -8,12 +8,16 @@ The identity workload runs once per checkout, each in a subprocess that
 imports `fmresynth` from that checkout's `src` (and whose workers do too):
 
 - for `strings1`, `brass3` and `flute1`: a 6-clip `synth_corpus` (seed 3,
-  splits 0.67 / 0.33 / 0); `train` for 4 steps at batch 2 (seed 5,
-  checkpoint every 2, hidden 8, 2 blocks), whose checkpoints 2 and 4 and
-  loss log (with `valid_loss`) are outputs; a resume from checkpoint 2
-  into another directory, whose checkpoint 4 must equal the straight
-  run's; and a 5-step `match_envelopes` (seed 1) on the first clip, whose
-  envelopes and loss history are outputs;
+  splits 0.67 / 0.33 / 0), whose files are outputs; `train` for 4 steps
+  at batch 2 (seed 5, checkpoint every 2, hidden 8, 2 blocks), whose
+  checkpoints 2 and 4 and loss log (with `valid_loss`) are outputs; a
+  resume from checkpoint 2 into another directory, whose checkpoint 4
+  must equal the straight run's; and a 5-step `match_envelopes` (seed 1)
+  on the first clip, whose envelopes and loss history are outputs;
+- `ingest` (instrument violin, seed 11) of the two wavs that perfbench's
+  `ingest_resynth` makes with seed 11, whose corpus files are outputs,
+  then `evaluate_checkpoint` of that workload's untrained checkpoint on
+  every non-empty split, whose reports and wavs are outputs;
 - an 8-clip `strings1` corpus (seed 7, all train), 3 steps at batch 8
   (seed 9, hidden 32, 3 blocks) at 1, 2 and 3 workers, whose checkpoint
   and log must not depend on the worker count. Every step of it clips
@@ -27,6 +31,7 @@ one of the two rules above. A checkout may be given as its own parent.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +48,12 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def file_digests(out, prefix, directory):
+    """Add the digest of each file in `directory` to `out`."""
+    for path in sorted(Path(directory).iterdir()):
+        out[f"{prefix}/{path.name}"] = digest(path.read_bytes())
+
+
 def workload(root):
     """Run the identity workload under `root`; returns {output: sha256}."""
     # imported here, in the subprocess, so each side runs its own package
@@ -51,6 +62,7 @@ def workload(root):
     import numpy as np
 
     from fmresynth import dataset as ds
+    from fmresynth import evaluation as ev
     from fmresynth import fmsynth as fm
     from fmresynth import training as tr
     from fmresynth import workers
@@ -64,6 +76,7 @@ def workload(root):
         corpus = root / name / "corpus"
         ds.synth_corpus(config, 6, seed=3, out_dir=corpus,
                         split_fractions=(0.67, 0.33, 0.0))
+        file_digests(out, f"{name}/corpus", corpus)
         run = tr.RunConfig(corpus_dir=str(corpus), patch_path=patch(name),
                            steps=4, batch=2, seed=5, checkpoint_every=2,
                            hidden_channels=8, blocks=2)
@@ -82,6 +95,22 @@ def workload(root):
                                           steps=5, seed=1)
         out[f"{name}/match_envelopes"] = digest(np.ascontiguousarray(env).tobytes())
         out[f"{name}/match_history"] = digest(np.asarray(history).tobytes())
+
+    # perfbench's ingest_resynth input, read from this checkout's perfbench
+    sys.path.insert(0, str(Path(ds.__file__).resolve().parents[2] / "perfbench"))
+    from workloads import IngestResynth
+    bench = IngestResynth(11, root / "ingest", False)
+    bench.setup(0)
+    manifest = ds.ingest(bench.wavs, "violin", seed=11, out_dir=bench.corpus)
+    file_digests(out, "ingest/corpus", bench.corpus)
+    for split in ("train", "valid", "test"):
+        if manifest.split_records(split):
+            wavs = root / "ingest" / split
+            report = ev.evaluate_checkpoint(bench.run, bench.ckpt, bench.corpus,
+                                            split=split, out_dir=wavs)
+            out[f"ingest/{split}/report"] = digest(json.dumps(
+                dataclasses.asdict(report), sort_keys=True).encode())
+            file_digests(out, f"ingest/{split}", wavs)
 
     corpus = root / "wide" / "corpus"
     ds.synth_corpus(fm.load_config(patch("strings1")), 8, seed=7,

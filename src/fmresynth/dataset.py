@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import wave
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -215,18 +215,6 @@ def save_manifest(manifest, path):
     Path(path).write_text(text + "\n")
 
 
-def _check_keys(path, what, entry, required, optional=()):
-    """Raise a ValueError naming `path` unless `entry` is an object holding
-    every required key and no key outside required | optional."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{path}: {what} is not a JSON object")
-    missing = sorted(set(required) - entry.keys())
-    unknown = sorted(entry.keys() - set(required) - set(optional))
-    if missing or unknown:
-        raise ValueError(f"{path}: {what} has missing keys {missing} "
-                         f"and unknown keys {unknown}")
-
-
 def parse_json(text, path, what):
     """json.loads, with a ValueError naming `path` and `what` for text that
     is not JSON."""
@@ -247,8 +235,14 @@ def from_json(cls, payload, path, what):
     each value must fit its field's annotation (a bool is no number).
     Raises a ValueError naming `path` and `what` otherwise."""
     known = {f.name: f for f in fields(cls)}
-    _check_keys(path, what, payload,
-                [n for n, f in known.items() if f.default is MISSING], known)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = sorted(n for n, f in known.items()
+                     if f.default is MISSING and n not in payload)
+    unknown = sorted(payload.keys() - known.keys())
+    if missing or unknown:
+        raise ValueError(f"{path}: {what} has missing keys {missing} "
+                         f"and unknown keys {unknown}")
     for name, value in payload.items():
         kind = known[name].type
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
@@ -273,10 +267,11 @@ def load_manifest(path):
 # ---------------------------------------------------------------------------
 # ingestion
 
-def prepare_wav(wav_path):
-    """One wav's part of ``ingest``: ([(clip index, stored clip,
-    FeatureTrack), ...], None), or ([], the warning that says why it gives
-    no clips)."""
+def prepare_wav(out_dir, instrument, threshold, wav_path):
+    """One wav's part of ``ingest``: caches in out_dir each of its clips
+    whose mean pitch confidence reaches `threshold`, and returns (their
+    ClipRecords, split unset, None), or ([], the warning that says why it
+    gives no clips)."""
     try:
         audio, rate = read_wav(wav_path)
     except Exception as exc:  # unreadable file: skip, keep going
@@ -284,18 +279,24 @@ def prepare_wav(wav_path):
     clips = chop_clips(strip_silence(resample_to(audio, rate)))
     if not clips:
         return [], f"no audio survived silence stripping in {wav_path}"
-    stored = [_as_stored(clip) for clip in clips]
-    return [(i, clip, ft.extract_features(clip))
-            for i, clip in enumerate(stored)], None
+    records = []
+    for i, clip in enumerate(clips):
+        clip = _as_stored(clip)
+        track = ft.extract_features(clip)
+        if float(track.confidence.mean()) >= threshold:
+            records.append(_write_clip(
+                out_dir, f"{wav_path.stem}_{i:04d}", clip, track,
+                source_file=wav_path.name, instrument=instrument, split=""))
+    return records, None
 
 
 def ingest(directory, instrument, seed, out_dir):
     """Preprocess a directory of wav files into a cached, split corpus.
 
-    Each wav runs ``prepare_wav`` in a worker process (see ``workers``),
-    wav j of the sorted list in worker j mod n, with one worker per core up
-    to the number of wavs. The replies are read here in sorted order, so
-    the corpus does not depend on n.
+    Each wav runs ``prepare_wav``, which caches its clips, in a worker
+    process (see ``workers``): wav j of the sorted list in worker j mod n,
+    with one worker per core up to the number of wavs. The replies are read
+    here in sorted order, so the manifest, written last, does not depend on n.
     """
     directory = Path(directory)
     out_dir = Path(out_dir)
@@ -303,24 +304,19 @@ def ingest(directory, instrument, seed, out_dir):
     threshold = CONFIDENCE_THRESHOLDS.get(instrument, 0.85)
     wav_paths = sorted(directory.glob("*.wav"))
 
-    kept = []  # (clip_id, source, audio, track)
+    records = []
     with workers.pool(len(wav_paths)) as pool:
-        replies = workers.scatter(pool, prepare_wav, (), wav_paths)
-        for wav_path, (clips, warning) in zip(wav_paths, replies):
+        for kept, warning in workers.scatter(
+                pool, prepare_wav, (out_dir, instrument, threshold), wav_paths):
             if warning:
                 log.warning("%s", warning)
-            for i, clip, track in clips:
-                if float(track.confidence.mean()) >= threshold:
-                    kept.append((f"{wav_path.stem}_{i:04d}", wav_path.name,
-                                 clip, track))
+            records += kept
 
-    if not kept:
+    if not records:
         raise ValueError(f"no clips survived preprocessing in {directory}")
 
-    labels = assign_splits(len(kept), seed)
-    records = [_write_clip(out_dir, clip_id, clip, track, source_file=source,
-                           instrument=instrument, split=split)
-               for (clip_id, source, clip, track), split in zip(kept, labels)]
+    labels = assign_splits(len(records), seed)
+    records = [replace(r, split=split) for r, split in zip(records, labels)]
     manifest = CorpusManifest(
         instrument=instrument, seed=seed, records=records,
         split_fractions=SPLIT_FRACTIONS, silence_threshold_db=SILENCE_THRESHOLD_DB,
@@ -332,13 +328,19 @@ def ingest(directory, instrument, seed, out_dir):
 # ---------------------------------------------------------------------------
 # synthetic oracle corpus
 
-def synth_clip(config, i_max, draw):
-    """One clip of ``synth_corpus``: the stored render of the draw's
-    envelopes [T, n_osc] over its f0, and its FeatureTrack."""
-    env, f0 = draw
+def synth_clip(config, i_max, out_dir, item):
+    """Clip c of ``synth_corpus``, for item (c, split, (envelopes [T, n_osc],
+    f0)): renders the envelopes over the f0, caches the stored render, its
+    FeatureTrack and the envelopes in out_dir, and returns its ClipRecord."""
+    c, split, (env, f0) = item
+    clip_id = f"synthetic_{c:04d}"
+    envelopes_path = f"{clip_id}.envelopes.npz"
     spec = fm.RenderSpec(f0_frames=f0)
     audio = _as_stored(fm.render(config, env, spec, i_max=i_max).values)
-    return audio, ft.extract_features(audio)
+    np.savez(out_dir / envelopes_path, envelopes=env, f0=f0)
+    return _write_clip(out_dir, clip_id, audio, ft.extract_features(audio),
+                       source_file="<synthetic>", instrument="synthetic",
+                       split=split, envelopes_path=envelopes_path)
 
 
 def synth_corpus(config, n_clips, seed, out_dir,
@@ -349,10 +351,10 @@ def synth_corpus(config, n_clips, seed, out_dir,
     piecewise constant in [200, 600] Hz. Ground-truth envelopes are stored
     next to each clip for envelope-recovery tests.
 
-    Every clip's envelopes and f0 are drawn here; clip c then runs
+    Every clip's envelopes and f0 are drawn here; clip c is then cached by
     ``synth_clip`` in worker c mod n (see ``workers``), with one worker per
-    core up to the number of clips, and the replies are written here in
-    clip order, so the corpus does not depend on n.
+    core up to the number of clips, and the manifest is written here last,
+    in clip order, so the corpus does not depend on n.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,8 +362,8 @@ def synth_corpus(config, n_clips, seed, out_dir,
     labels = assign_splits(n_clips, seed, split_fractions)
     a_max = config.a_max(i_max)
     t = FRAMES_PER_CLIP
-    draws = []
-    for _ in range(n_clips):
+    items = []
+    for c in range(n_clips):
         env = np.zeros((t, config.n_oscillators))
         for k in range(config.n_oscillators):
             points = rng.uniform(0.1, 0.9, size=8) * a_max[k]
@@ -369,19 +371,11 @@ def synth_corpus(config, n_clips, seed, out_dir,
         n_segments = 4
         f0 = np.repeat(rng.uniform(200.0, 600.0, size=n_segments),
                        int(np.ceil(t / n_segments)))[:t]
-        draws.append((env, f0))
+        items.append((c, labels[c], (env, f0)))
 
-    records = []
     with workers.pool(n_clips) as pool:
-        replies = workers.scatter(pool, synth_clip, (config, i_max), draws)
-        for c, ((env, f0), (audio, track)) in enumerate(zip(draws, replies)):
-            clip_id = f"synthetic_{c:04d}"
-            envelopes_path = f"{clip_id}.envelopes.npz"
-            records.append(_write_clip(
-                out_dir, clip_id, audio, track, source_file="<synthetic>",
-                instrument="synthetic", split=labels[c],
-                envelopes_path=envelopes_path))
-            np.savez(out_dir / envelopes_path, envelopes=env, f0=f0)
+        records = list(workers.scatter(pool, synth_clip,
+                                       (config, i_max, out_dir), items))
     manifest = CorpusManifest(
         instrument="synthetic", seed=seed, records=records,
         split_fractions=tuple(split_fractions),
@@ -405,14 +399,8 @@ def load_clip(out_dir, record):
 
 def load_npz_array(path, key, ndim):
     """The `key` array of an npz file as float64. A ValueError names the
-    file when it is no npz, or the key is missing or not `ndim`-D."""
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an npz file")
-    with data:
-        if key not in data.files:
-            raise ValueError(f"{path}: no {key!r} array")
-        arr = np.asarray(data[key], dtype=np.float64)
+    file when ``features.read_npz`` cannot read it or the key is not `ndim`-D."""
+    arr = np.asarray(ft.read_npz(path, [key])[0], dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{path}: {key!r} must be {ndim}-D, got shape {arr.shape}")
     return arr

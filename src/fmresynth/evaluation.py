@@ -105,11 +105,18 @@ def compute_metrics(target, prediction, target_track=None):
     }
 
 
-def score_clip(model, corpus_dir, record):
-    """(metric dict, resynthesis) of one cached clip under ``model``."""
+def score_clip(model, corpus_dir, out_dir, record):
+    """The metric dict, with its clip id, of one cached clip under
+    ``model``; writes the clip and its resynthesis to out_dir as
+    <clip_id>_target.wav and <clip_id>_resynth.wav unless it is None."""
     audio, track, _env = ds.load_clip(corpus_dir, record)
     pred = _resynthesize(model, audio, track)
-    return compute_metrics(audio, pred, track), pred
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
+        ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
+    return {**compute_metrics(audio, pred, track), "clip_id": record.clip_id}
 
 
 def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
@@ -126,18 +133,9 @@ def evaluate_checkpoint(run, checkpoint_path, corpus_dir, split="test",
     if not records:
         raise ValueError(f"split {split!r} is empty")
     model = tr.Model.load(run, checkpoint_path)
-    per_clip = []
     with workers.pool(len(records)) as pool:
-        replies = workers.scatter(pool, score_clip, (model, corpus_dir), records)
-        for record, (metrics, pred) in zip(records, replies):
-            metrics["clip_id"] = record.clip_id
-            per_clip.append(metrics)
-            if out_dir is not None:
-                out_dir = Path(out_dir)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                audio = ds.load_clip_audio(Path(corpus_dir) / record.audio_path)
-                ds.write_wav(out_dir / f"{record.clip_id}_target.wav", audio)
-                ds.write_wav(out_dir / f"{record.clip_id}_resynth.wav", pred)
+        per_clip = list(workers.scatter(pool, score_clip,
+                                        (model, corpus_dir, out_dir), records))
     return EvalReport(per_clip, *(float(np.mean([m[key] for m in per_clip]))
                                   for key in ("mss", "lsd_db", "f0_rmse_cents")))
 

@@ -18,6 +18,7 @@ T = len(audio) // HOP.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,21 +234,32 @@ def save_features(path, track):
              version=np.int64(FEATURE_VERSION))
 
 
+def read_npz(path, keys):
+    """The `keys` arrays of the npz file at `path`, in order. A ValueError
+    names the file when it is no npz (an .npy array, other bytes, empty or
+    truncated), lacks a key, or holds an array that cannot be read."""
+    try:
+        # opened here: np.load(path) leaves its file open on a bad archive
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz file")
+            for key in keys:
+                if key not in data.files:
+                    raise ValueError(f"no {key!r} array")
+            return [data[key] for key in keys]
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_features(path):
     """FeatureTrack from a cache file; raises ValueError naming the file for
-    one that is no npz, a missing key, a version, sample_rate or hop that
+    one that ``read_npz`` cannot read, a version, sample_rate or hop that
     is not an integer scalar, another version, a grid other than
     SAMPLE_RATE/HOP, or tracks that are not 1-D with one frame count."""
     expected = (FEATURE_VERSION, SAMPLE_RATE, HOP)
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an npz file")
-    with data:
-        try:
-            grid = [data[k] for k in ("version", "sample_rate", "hop")]
-            tracks = data["f0"], data["confidence"], data["loudness"]
-        except KeyError as exc:  # "<key> is not a file in the archive"
-            raise ValueError(f"{path}: {exc.args[0]}") from None
+    *grid, f0, confidence, loudness = read_npz(
+        path, ("version", "sample_rate", "hop", "f0", "confidence", "loudness"))
     if any(g.ndim or g.dtype.kind not in "iu" for g in grid):
         raise ValueError(f"{path}: version, sample_rate and hop must be "
                          "integer scalars")
@@ -256,6 +268,6 @@ def load_features(path):
         raise ValueError(f"{path}: feature cache (version, sample_rate, "
                          f"hop) is {found}, expected {expected}")
     try:
-        return FeatureTrack(*tracks)
+        return FeatureTrack(f0, confidence, loudness)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

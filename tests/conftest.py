@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import pickle
 from importlib import resources
 from pathlib import Path
@@ -66,6 +67,28 @@ def in_process_pool(limit):
 @pytest.fixture
 def in_process_workers(monkeypatch):
     monkeypatch.setattr(workers, "pool", in_process_pool)
+
+
+@pytest.fixture
+def replies(monkeypatch, in_process_workers):
+    """Every result that a worker's reply carries, in the order read."""
+    read = []
+    unpack = workers.unpack
+    monkeypatch.setattr(workers, "unpack",
+                        lambda reply: read.append(unpack(reply)) or read[-1])
+    return read
+
+
+def holds_array(value):
+    """Whether a numpy array is anywhere inside `value`: in a list, tuple,
+    dict or dataclass, at any depth."""
+    if isinstance(value, np.ndarray):
+        return True
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(holds_array, value))
 
 
 def worker_running(pid):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -20,6 +21,16 @@ from conftest import packaged_config, running_workers
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def npz_bytes(**arrays):
+    """The bytes that np.savez writes for `arrays`."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+F0_NPZ = npz_bytes(f0=np.full(25, 440.0))
 
 
 def run_cli_process(*argv):
@@ -173,12 +184,19 @@ class TestRender:
         ("--envelopes", {"envelopes": np.float64(0.5)},
          "'envelopes' must be 2-D"),
         ("--f0", None, "not an npz file"),  # a bare .npy array
+        pytest.param("--f0", b"", "No data left in file", id="empty"),
+        pytest.param("--f0", F0_NPZ[:len(F0_NPZ) // 2],
+                     "File is not a zip file", id="truncated"),
+        pytest.param("--envelopes", b"envelopes = 0.5\n", "pickled",
+                     id="text"),
     ])
     def test_malformed_npz_exits_2_naming_file_and_key(
             self, flag, arrays, named, tmp_path, capsys):
         with open(tmp_path / "in.npz", "wb") as fh:
             if arrays is None:
                 np.save(fh, np.full(25, 440.0))
+            elif isinstance(arrays, bytes):
+                fh.write(arrays)
             else:
                 np.savez(fh, **arrays)
         assert run_cli("render", "--patch", packaged_config("strings1_2"),
@@ -400,6 +418,19 @@ class TestTrainAndDownstream:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"error: clip cache {path} is truncated"]
+
+    def test_train_on_a_half_features_npz_exits_2_naming_it(
+            self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        manifest = ds.load_manifest(corpus / "manifest.json")
+        path = corpus / manifest.split_records("train")[0].features_path
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        assert run_cli("train", "--config", str(workspace / "run.json"),
+                       "--corpus", str(corpus), "--steps", "1",
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: File is not a zip file\n")
 
     def stage_cell(self, workspace, ckpts):
         """Cell strings1_2 of the violin ablation grid in ckpts: an

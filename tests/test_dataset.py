@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from fmresynth import dataset as ds
 from fmresynth import features as ft
 from fmresynth import workers
 
-from conftest import in_process_pool
+from conftest import holds_array, in_process_pool
 
 
 # manifest.json of synth_corpus(strings1_2, 2 clips, seed=3), with the two
@@ -185,13 +186,17 @@ class TestIngest:
                 assert np.array_equal(getattr(fresh, field),
                                       getattr(track, field)), field
 
-    def test_ingest_confidence_filter(self, tmp_path):
+    def test_ingest_confidence_filter(self, tmp_path, replies):
         src = tmp_path / "src"
         src.mkdir()
         rng = np.random.default_rng(0)
         ds.write_wav(src / "noise.wav", rng.uniform(-0.5, 0.5, 5 * 16000))
         with pytest.raises(ValueError, match="no clips"):
             ds.ingest(src, "violin", seed=0, out_dir=tmp_path / "c")
+        # a wav whose clips all fall below the threshold replies no record
+        # and caches nothing
+        assert replies == [([], None)]
+        assert list((tmp_path / "c").iterdir()) == []
 
     def test_ingest_empty_dir_rejected(self, tmp_path):
         src = tmp_path / "empty"
@@ -232,6 +237,44 @@ class TestIngest:
         for n in (1, 2, 3):
             monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
             assert prepare(tmp_path / f"w{n}") == reference
+
+    def test_replies_are_records_and_the_manifest_comes_last(
+            self, mixed_wavs, tmp_path, monkeypatch, replies):
+        out = tmp_path / "c"
+        listed = []
+        save = ds.save_manifest
+        monkeypatch.setattr(ds, "save_manifest", lambda manifest, path: (
+            listed.append(sorted(p.name for p in out.iterdir()))
+            or save(manifest, path)))
+        manifest = ds.ingest(mixed_wavs, "violin", seed=0, out_dir=out)
+        # one reply per wav, holding its kept clips' records, split unset
+        assert len(replies) == 5 and not any(map(holds_array, replies))
+        records = [r for kept, _warning in replies for r in kept]
+        assert [replace(r, split=m.split) for r, m in zip(
+            records, manifest.records)] == manifest.records
+        assert {r.split for r in records} == {""}
+        # every clip is cached before the manifest is written
+        assert listed == [sorted(p.name for p in out.iterdir()
+                                 if p.name != "manifest.json")]
+        assert len(listed[0]) == 3 * len(manifest.records)
+
+    def test_an_error_in_one_wav_leaves_the_clips_before_it_and_no_manifest(
+            self, mixed_wavs, tmp_path, monkeypatch, in_process_workers):
+        monkeypatch.setattr(workers, "cpu_count", lambda: 1)
+        resample_to = ds.resample_to
+
+        def resample(audio, rate):  # c.wav alone is at 44.1 kHz
+            if rate != ds.SAMPLE_RATE:
+                raise RuntimeError("resampler failed")
+            return resample_to(audio, rate)
+
+        monkeypatch.setattr(ds, "resample_to", resample)
+        out = tmp_path / "c"
+        with pytest.raises(RuntimeError, match="resampler failed"):
+            ds.ingest(mixed_wavs, "violin", seed=0, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{clip}{suffix}" for clip in ("a_0000", "b_0000")
+            for suffix in (".f32", ".f32.json", ".features.npz")]
 
     def test_skipped_wavs_are_logged_by_the_caller(self, mixed_wavs, tmp_path,
                                                    monkeypatch, caplog):
@@ -286,6 +329,12 @@ class TestSyntheticCorpus:
         for n in (1, 2, 3):
             monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
             assert build(tmp_path / f"w{n}") == reference
+
+    def test_replies_are_the_records(self, tmp_path, two_osc_config, replies):
+        manifest = ds.synth_corpus(two_osc_config, 3, seed=0, out_dir=tmp_path,
+                                   split_fractions=(0.34, 0.33, 0.33))
+        assert replies == manifest.records
+        assert not any(map(holds_array, replies))
 
     def test_synth_corpus_is_seeded(self, tmp_path, two_osc_config):
         m1 = ds.synth_corpus(two_osc_config, 2, seed=5, out_dir=tmp_path / "a")

@@ -9,7 +9,7 @@ from fmresynth import features as ft
 from fmresynth import training as tr
 from fmresynth import workers
 
-from conftest import in_process_pool, packaged_config
+from conftest import holds_array, in_process_pool, packaged_config
 
 
 def sine(freq, seconds=1.0, sr=16000):
@@ -152,6 +152,19 @@ class TestEvaluationWorkers:
         for n in (1, 2, 3):
             monkeypatch.setattr(workers, "cpu_count", lambda n=n: n)
             assert evaluate(tmp_path / f"w{n}") == reference
+
+
+    def test_replies_are_metric_dicts_and_each_clip_is_read_once(
+            self, four_clip_split, tmp_path, monkeypatch, replies):
+        run, ckpt, corpus = four_clip_split
+        calls = []
+        load_clip_audio = ds.load_clip_audio
+        monkeypatch.setattr(ds, "load_clip_audio", lambda path: (
+            calls.append(path) or load_clip_audio(path)))
+        report = ev.evaluate_checkpoint(run, ckpt, corpus, split="train",
+                                        out_dir=tmp_path / "wavs")
+        assert replies == report.per_clip and not any(map(holds_array, replies))
+        assert len(calls) == 4 and len(list((tmp_path / "wavs").iterdir())) == 8
 
 
 class TestGrids:

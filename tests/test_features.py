@@ -252,6 +252,24 @@ class TestCache:
         with pytest.raises(ValueError, match=f"{path}: not an npz file"):
             ft.load_features(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param(lambda data: b"", "No data left in file", id="empty"),
+        pytest.param(lambda data: data[:len(data) // 2],
+                     "File is not a zip file", id="truncated"),
+        pytest.param(lambda data: b"f0 = 440\n", "pickled", id="text"),
+        # a flipped byte inside the first array: the archive opens, but
+        # reading that array fails
+        pytest.param(lambda data: data[:1000] + bytes([data[1000] ^ 0xFF])
+                     + data[1001:], "Bad CRC-32", id="flipped"),
+    ])
+    def test_unreadable_bytes_are_a_value_error_naming_the_file(
+            self, tmp_path, damage, message):
+        path = tmp_path / "f.npz"
+        ft.save_features(path, ft.extract_features(sine(440.0)))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"{path}: .*{message}"):
+            ft.load_features(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         track = ft.extract_features(np.zeros(6400))
         path = tmp_path / "f.npz"

@@ -21,9 +21,12 @@ def test_a_checkout_is_its_own_identical_parent():
         capture_output=True, text=True, timeout=600, check=False)
     assert proc.returncode == 0, proc.stdout + proc.stderr[-4000:]
     lines = [line.split() for line in proc.stdout.splitlines()]
-    # 3 patches x (2 checkpoints, the log, the resumed checkpoint and 2
-    # match outputs), and a checkpoint and a log at each of 3 worker counts
-    assert len(lines) == 3 * 6 + 3 * 2
+    # 3 patches x (6 clips x 4 files and the manifest of the corpus, 2
+    # checkpoints, the log, the resumed checkpoint and 2 match outputs);
+    # the ingested corpus (8 kept clips x 3 files and the manifest) and,
+    # for its 3 splits, a report each and 2 wavs per clip; and a
+    # checkpoint and a log at each of 3 worker counts
+    assert len(lines) == 3 * (25 + 6) + (8 * 3 + 1) + 3 + 8 * 2 + 3 * 2
     assert all(len(line) == 3 and line[1] == line[2] and len(line[1]) == 64
                for line in lines)
 
